@@ -4,6 +4,8 @@
 // the hot paths.
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
+
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -11,6 +13,7 @@
 #include <filesystem>
 
 #include "bench/harness.h"
+#include "graph/update_codec.h"
 #include "kv/kv_store.h"
 #include "mq/mq.h"
 #include "store/segment_store.h"
@@ -171,6 +174,31 @@ static void BM_MqAppendPoll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MqAppendPoll);
+
+// Heap bytes the broker log holds per retained update record: Arg records
+// shaped like the "updates" topic's (empty key, one encoded edge update)
+// appended to one partition, measured as the change in heap in use.
+static void BM_MqRetainedBytesPerUpdate(benchmark::State& state) {
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const std::string value = graph::EncodeUpdate(
+      graph::EdgeUpdate{1, gen::MakeVertexId(1, 7), gen::MakeVertexId(2, 9), 1234, 1.0f});
+  auto heap = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return static_cast<double>(m.uordblks + m.hblkhd);
+  };
+  for (auto _ : state) {
+    const double before = heap();
+    auto p = std::make_unique<mq::Partition>();
+    for (std::size_t i = 0; i < records; ++i) {
+      p->Append(std::string(), value, static_cast<util::Micros>(i));
+    }
+    benchmark::DoNotOptimize(p->end_offset());
+    state.counters["heap_bytes_per_record"] = (heap() - before) / static_cast<double>(records);
+    state.counters["value_bytes"] = static_cast<double>(value.size());
+  }
+}
+BENCHMARK(BM_MqRetainedBytesPerUpdate)->Arg(300'000)->Arg(1'000'000)->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------- sampling pipeline
 

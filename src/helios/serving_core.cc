@@ -404,6 +404,9 @@ AggregateCache::Slot* AggregateCache::InsertSlotLocked(graph::VertexId v,
       target->version = version;
       target->state = kUsed;
       target->gen = gen_;
+      // A new entry owns no arena row yet: a claimed slot's old offset may
+      // lie past a cleared arena or belong to another entry's row.
+      target->len = 0;
       ++count_;
       return target;
     }

@@ -14,25 +14,35 @@ namespace {
 // ride along so recovery rebuilds the exact in-memory log.
 constexpr std::size_t kDurableHeader = 16;
 
-std::string EncodeDurable(const Record& r) {
+std::string EncodeDurable(std::uint64_t offset, util::Micros append_time,
+                          std::string_view value) {
   std::string out;
-  out.reserve(kDurableHeader + r.value.size());
-  out.append(reinterpret_cast<const char*>(&r.offset), 8);
-  const std::int64_t t = static_cast<std::int64_t>(r.append_time);
+  out.reserve(kDurableHeader + value.size());
+  out.append(reinterpret_cast<const char*>(&offset), 8);
+  const std::int64_t t = static_cast<std::int64_t>(append_time);
   out.append(reinterpret_cast<const char*>(&t), 8);
-  out.append(r.value);
+  out.append(value);
   return out;
 }
 
-bool DecodeDurable(std::string_view key, std::string_view value, Record& r) {
-  if (value.size() < kDurableHeader) return false;
-  std::memcpy(&r.offset, value.data(), 8);
+// In-block record header: [i64 append_time][u32 key_len][u32 value_len].
+constexpr std::size_t kRecordHeader = 16;
+
+struct RecordView {
+  util::Micros append_time = 0;
+  std::string_view key;
+  std::string_view value;
+  std::size_t size() const { return kRecordHeader + key.size() + value.size(); }
+};
+
+RecordView DecodeRecord(const char* rec) {
   std::int64_t t;
-  std::memcpy(&t, value.data() + 8, 8);
-  r.append_time = static_cast<util::Micros>(t);
-  r.key.assign(key);
-  r.value.assign(value.substr(kDurableHeader));
-  return true;
+  std::uint32_t key_len, value_len;
+  std::memcpy(&t, rec, 8);
+  std::memcpy(&key_len, rec + 8, 4);
+  std::memcpy(&value_len, rec + 12, 4);
+  const char* key = rec + kRecordHeader;
+  return {static_cast<util::Micros>(t), {key, key_len}, {key + key_len, value_len}};
 }
 }  // namespace
 
@@ -62,7 +72,7 @@ util::Status Partition::BindDurable(store::SegmentStore* store, std::string pref
                                     std::uint64_t roll_records) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (durable_ != nullptr) return util::Status::FailedPrecondition("partition already bound");
-  if (!records_.empty()) {
+  if (end_offset_ != 0) {
     return util::Status::FailedPrecondition("bind before the partition has records");
   }
   auto d = std::make_unique<Durable>();
@@ -70,26 +80,31 @@ util::Status Partition::BindDurable(store::SegmentStore* store, std::string pref
   d->prefix = std::move(prefix);
   d->roll_records = std::max<std::uint64_t>(1, roll_records);
 
-  // Restore the group-committed log of a previous incarnation. Segment ids
-  // are allocated monotonically, so List order (id order) is append order.
+  // Restore the group-committed log of a previous incarnation through the
+  // ordinary append path (durable_ is still unset, so nothing is mirrored
+  // back). Segment ids are allocated monotonically, so List order (id
+  // order) is append order.
   bool have_active = false;
   for (const auto& info : store->List(d->prefix + "/")) {
     util::Micros max_time = 0;
     auto status = store->Scan(
         info.id, [&](const store::RecordLocator&, std::string_view key, std::string_view value) {
-          Record r;
-          if (!DecodeDurable(key, value, r)) return true;  // skip malformed
-          if (records_.empty()) {
-            start_offset_ = r.offset;
-          } else if (r.offset != start_offset_ + records_.size()) {
+          if (value.size() < kDurableHeader) return true;  // skip malformed
+          std::uint64_t offset;
+          std::int64_t t;
+          std::memcpy(&offset, value.data(), 8);
+          std::memcpy(&t, value.data() + 8, 8);
+          if (blocks_.empty()) {
+            start_offset_ = base_offset_ = end_offset_ = offset;
+          } else if (offset != end_offset_) {
             // A gap means an append was lost to a store error; everything
             // after it would be mis-addressed, so stop at the gap.
-            HLOG(kWarn, "mq") << "offset gap in " << d->prefix << " at " << r.offset;
+            HLOG(kWarn, "mq") << "offset gap in " << d->prefix << " at " << offset;
             return false;
           }
-          max_time = std::max(max_time, r.append_time);
-          bytes_ += r.key.size() + r.value.size() + sizeof(Record);
-          records_.push_back(std::move(r));
+          const auto append_time = static_cast<util::Micros>(t);
+          max_time = std::max(max_time, append_time);
+          AppendLocked(key, value.substr(kDurableHeader), append_time);
           return true;
         });
     if (!status.ok()) return status;
@@ -113,16 +128,17 @@ util::Status Partition::BindDurable(store::SegmentStore* store, std::string pref
   return util::Status::Ok();
 }
 
-void Partition::AppendDurableLocked(const Record& r) {
+void Partition::AppendDurableLocked(std::uint64_t offset, util::Micros now, std::string_view key,
+                                    std::string_view value) {
   Durable& d = *durable_;
-  auto appended = d.store->Append(d.active, r.key, EncodeDurable(r));
+  auto appended = d.store->Append(d.active, key, EncodeDurable(offset, now, value));
   if (!appended.ok()) {
     HLOG(kWarn, "mq") << "durable append to " << d.prefix
                       << " failed: " << appended.status().ToString();
     return;
   }
   d.active_records++;
-  d.active_max_time = std::max(d.active_max_time, r.append_time);
+  d.active_max_time = std::max(d.active_max_time, now);
   if (d.active_records >= d.roll_records) {
     // Roll: seal the full segment (making it a retirement candidate for
     // retention) and open a fresh one.
@@ -141,28 +157,68 @@ void Partition::AppendDurableLocked(const Record& r) {
   }
 }
 
+std::uint64_t Partition::AppendLocked(std::string_view key, std::string_view value,
+                                      util::Micros now) {
+  if (blocks_.empty() || blocks_.back().ends.size() == kBlockRecords) {
+    // Seal the full tail at its exact size and open the next block, sized
+    // like the last one so a steady stream grows it at most once.
+    std::size_t hint = 0;
+    if (!blocks_.empty()) {
+      blocks_.back().bytes.shrink_to_fit();
+      hint = blocks_.back().bytes.size();
+    }
+    blocks_.emplace_back();
+    blocks_.back().bytes.reserve(hint);
+    blocks_.back().ends.reserve(kBlockRecords);
+  }
+  Block& tail = blocks_.back();
+  const std::size_t at = tail.bytes.size();
+  const std::size_t size = kRecordHeader + key.size() + value.size();
+  tail.bytes.resize(at + size);
+  char* rec = tail.bytes.data() + at;
+  const std::int64_t t = static_cast<std::int64_t>(now);
+  const auto key_len = static_cast<std::uint32_t>(key.size());
+  const auto value_len = static_cast<std::uint32_t>(value.size());
+  std::memcpy(rec, &t, 8);
+  std::memcpy(rec + 8, &key_len, 4);
+  std::memcpy(rec + 12, &value_len, 4);
+  if (!key.empty()) std::memcpy(rec + kRecordHeader, key.data(), key.size());
+  if (!value.empty()) std::memcpy(rec + kRecordHeader + key.size(), value.data(), value.size());
+  tail.ends.push_back(static_cast<std::uint32_t>(at + size));
+  bytes_ += size;
+  return end_offset_++;
+}
+
 std::uint64_t Partition::Append(std::string key, std::string value, util::Micros now) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Record r;
-  r.offset = start_offset_ + records_.size();
-  r.append_time = now;
-  r.key = std::move(key);
-  r.value = std::move(value);
-  bytes_ += r.key.size() + r.value.size() + sizeof(Record);
-  records_.push_back(std::move(r));
-  if (durable_ != nullptr) AppendDurableLocked(records_.back());
-  return records_.back().offset;
+  const std::uint64_t offset = AppendLocked(key, value, now);
+  if (durable_ != nullptr) AppendDurableLocked(offset, now, key, value);
+  return offset;
+}
+
+const char* Partition::RecordAt(std::uint64_t offset) const {
+  const std::uint64_t rel = offset - base_offset_;
+  const Block& block = blocks_[static_cast<std::size_t>(rel / kBlockRecords)];
+  const auto i = static_cast<std::size_t>(rel % kBlockRecords);
+  return block.bytes.data() + (i == 0 ? 0 : block.ends[i - 1]);
 }
 
 std::size_t Partition::ReadFrom(std::uint64_t offset, std::size_t max_records,
                                 std::vector<Record>& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t snapped = std::max(offset, start_offset_);
-  if (snapped >= start_offset_ + records_.size()) return 0;
-  std::size_t idx = static_cast<std::size_t>(snapped - start_offset_);
-  std::size_t n = std::min(max_records, records_.size() - idx);
-  out.insert(out.end(), records_.begin() + static_cast<std::ptrdiff_t>(idx),
-             records_.begin() + static_cast<std::ptrdiff_t>(idx + n));
+  std::uint64_t next = std::max(offset, start_offset_);
+  if (next >= end_offset_) return 0;
+  const auto n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(max_records, end_offset_ - next));
+  out.reserve(out.size() + n);
+  for (std::size_t copied = 0; copied < n; ++copied, ++next) {
+    const RecordView v = DecodeRecord(RecordAt(next));
+    Record& r = out.emplace_back();
+    r.offset = next;
+    r.append_time = v.append_time;
+    r.key.assign(v.key);
+    r.value.assign(v.value);
+  }
   return n;
 }
 
@@ -173,7 +229,7 @@ std::uint64_t Partition::start_offset() const {
 
 std::uint64_t Partition::end_offset() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return start_offset_ + records_.size();
+  return end_offset_;
 }
 
 std::size_t Partition::SizeBytes() const {
@@ -181,18 +237,34 @@ std::size_t Partition::SizeBytes() const {
   return bytes_;
 }
 
+std::size_t Partition::ResidentBytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t n = 0;
+  for (const Block& b : blocks_) {
+    n += b.bytes.capacity() + b.ends.capacity() * sizeof(std::uint32_t);
+  }
+  return n;
+}
+
 std::size_t Partition::TruncateOlderThan(util::Micros cutoff) {
   std::lock_guard<std::mutex> lock(mutex_);
   // Records are in append order, so the prefix with append_time < cutoff is
   // exactly what retention drops.
-  std::size_t drop = 0;
-  while (drop < records_.size() && records_[drop].append_time < cutoff) ++drop;
-  if (drop == 0) return 0;
-  for (std::size_t i = 0; i < drop; ++i) {
-    bytes_ -= records_[i].key.size() + records_[i].value.size() + sizeof(Record);
+  const std::uint64_t first = start_offset_;
+  while (start_offset_ < end_offset_) {
+    const RecordView v = DecodeRecord(RecordAt(start_offset_));
+    if (v.append_time >= cutoff) break;
+    bytes_ -= v.size();
+    ++start_offset_;
   }
-  records_.erase(records_.begin(), records_.begin() + static_cast<std::ptrdiff_t>(drop));
-  start_offset_ += drop;
+  const std::size_t drop = static_cast<std::size_t>(start_offset_ - first);
+  if (drop == 0) return 0;
+  // Free every block wholly below the new start. A partly expired block
+  // (or a drained tail that is not yet full) stays until it fully expires.
+  while (!blocks_.empty() && base_offset_ + kBlockRecords <= start_offset_) {
+    blocks_.pop_front();
+    base_offset_ += kBlockRecords;
+  }
   if (durable_ != nullptr) {
     // Truncation at segment granularity: retire sealed segments whose
     // newest record is expired. Partially-expired segments wait for the
@@ -224,6 +296,12 @@ std::uint64_t Topic::TotalRecords() const {
 std::size_t Topic::TotalBytes() const {
   std::size_t n = 0;
   for (const auto& p : partitions_) n += p->SizeBytes();
+  return n;
+}
+
+std::size_t Topic::TotalResidentBytes() const {
+  std::size_t n = 0;
+  for (const auto& p : partitions_) n += p->ResidentBytes();
   return n;
 }
 
@@ -403,6 +481,8 @@ void Broker::PublishTo(obs::MetricsRegistry* registry) const {
     registry->GetGauge("mq.topic.records", labels)
         ->Set(static_cast<std::int64_t>(t->TotalRecords()));
     registry->GetGauge("mq.topic.bytes", labels)->Set(static_cast<std::int64_t>(t->TotalBytes()));
+    registry->GetGauge("mq.topic.resident_bytes", labels)
+        ->Set(static_cast<std::int64_t>(t->TotalResidentBytes()));
     registry->GetGauge("mq.topic.partitions", labels)
         ->Set(static_cast<std::int64_t>(t->num_partitions()));
   }

@@ -10,20 +10,30 @@
 //   * consumer groups with committed offsets (so a restarted worker resumes
 //     from its checkpointed position — used by fault-tolerance tests);
 //   * time-based retention (TTL truncation, §4.2).
-// The in-memory log is the source of truth for serving. Durability is an
-// opt-in binding to a store::SegmentStore (Broker::BindStore, see
-// docs/STORAGE.md): each partition's log is mirrored into a chain of rolled
-// segments, retention truncation becomes whole-segment retirement, and
-// committed offsets persist in a last-wins offsets stream — so a broker
-// rebuilt over the same store recovers every group-committed record and
-// offset. Without a bound store the behaviour is unchanged (memory only).
+// The in-memory log is the source of truth for serving. Each partition packs
+// it into append-only blocks of a fixed record count: one contiguous byte
+// buffer per block holding [i64 append_time][u32 key_len][u32 value_len]
+// [key][value] per record, plus a u32 end-position array. Offset lookup is
+// O(1) (block = (offset - base) / kBlockRecords), written records never
+// move (appends touch only the tail block), and retention frees whole
+// blocks from the front — a partly expired block stays until it fully
+// expires. Record is only the decoded copy a consumer receives.
+// Durability is an opt-in binding to a store::SegmentStore
+// (Broker::BindStore, see docs/STORAGE.md): each partition's log is mirrored
+// into a chain of rolled segments, retention truncation becomes
+// whole-segment retirement, and committed offsets persist in a last-wins
+// offsets stream — so a broker rebuilt over the same store recovers every
+// group-committed record and offset. Without a bound store the behaviour is
+// unchanged (memory only).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -37,7 +47,7 @@ class SegmentStore;
 
 namespace helios::mq {
 
-// One record in a partition log.
+// One record of a partition log, decoded into the copy a consumer receives.
 struct Record {
   std::uint64_t offset = 0;
   util::Micros append_time = 0;  // broker-side arrival time
@@ -49,6 +59,9 @@ struct Record {
 // start_offset (which moves forward under retention truncation).
 class Partition {
  public:
+  // Records per storage block (the unit retention frees).
+  static constexpr std::uint32_t kBlockRecords = 4096;
+
   Partition();
   ~Partition();
 
@@ -62,9 +75,15 @@ class Partition {
 
   std::uint64_t start_offset() const;
   std::uint64_t end_offset() const;  // offset the next append will get
+  // Encoded bytes of the live records (header + key + value each).
   std::size_t SizeBytes() const;
+  // Bytes the log actually holds: every block's buffer capacity plus its
+  // end-position array, expired-but-unfreed records included.
+  std::size_t ResidentBytes() const;
 
   // Drops records with append_time < cutoff. Returns records dropped.
+  // Memory is released a whole block at a time, once every record in the
+  // block is dropped.
   // With a durable binding, sealed log segments whose every record is
   // expired are retired (truncation at segment granularity: the store side
   // may briefly retain records the in-memory log already dropped).
@@ -79,12 +98,25 @@ class Partition {
                            std::uint64_t roll_records);
 
  private:
+  // kBlockRecords records packed back to back; `ends[i]` is the byte
+  // position just past record i. Only the tail block is ever written.
+  struct Block {
+    std::vector<char> bytes;
+    std::vector<std::uint32_t> ends;
+  };
   struct Durable;
-  void AppendDurableLocked(const Record& r);
+
+  std::uint64_t AppendLocked(std::string_view key, std::string_view value, util::Micros now);
+  void AppendDurableLocked(std::uint64_t offset, util::Micros now, std::string_view key,
+                           std::string_view value);
+  // Start of a live record's bytes.
+  const char* RecordAt(std::uint64_t offset) const;
 
   mutable std::mutex mutex_;
-  std::uint64_t start_offset_ = 0;
-  std::vector<Record> records_;
+  std::uint64_t start_offset_ = 0;  // first live record
+  std::uint64_t base_offset_ = 0;   // first record of blocks_.front()
+  std::uint64_t end_offset_ = 0;    // offset the next append gets
+  std::deque<Block> blocks_;
   std::size_t bytes_ = 0;
   std::unique_ptr<Durable> durable_;  // null = memory-only (the default)
 };
@@ -106,6 +138,7 @@ class Topic {
 
   std::uint64_t TotalRecords() const;
   std::size_t TotalBytes() const;
+  std::size_t TotalResidentBytes() const;
 
  private:
   std::string name_;
@@ -151,8 +184,9 @@ class Broker {
   // Applies retention to every partition of every topic.
   std::size_t TruncateOlderThan(util::Micros cutoff);
 
-  // Publishes per-topic record/byte gauges ("mq.topic.records{topic=..}")
-  // into `registry`. Call before snapshotting.
+  // Publishes per-topic record/byte gauges ("mq.topic.records{topic=..}",
+  // mq.topic.bytes, mq.topic.resident_bytes) into `registry`. Call before
+  // snapshotting.
   void PublishTo(obs::MetricsRegistry* registry) const;
 
  private:

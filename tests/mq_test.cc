@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "mq/mq.h"
+#include "obs/metrics.h"
 #include "store/segment_store.h"
 
 namespace helios::mq {
@@ -53,6 +55,156 @@ TEST(Partition, SizeBytesShrinksOnTruncate) {
   const auto before = p.SizeBytes();
   p.TruncateOlderThan(5);
   EXPECT_LT(p.SizeBytes(), before);
+}
+
+// ---- packed block layout: Partition::kBlockRecords records per block.
+
+constexpr std::uint64_t kBlock = Partition::kBlockRecords;
+
+std::string KeyOf(std::uint64_t i) { return "k" + std::to_string(i); }
+std::string ValueOf(std::uint64_t i) { return "value-" + std::to_string(i * 7919); }
+
+// Appends `n` records with key/value derived from the offset and
+// append_time == offset.
+void Fill(Partition& p, std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t o = p.end_offset();
+    ASSERT_EQ(p.Append(KeyOf(o), ValueOf(o), static_cast<util::Micros>(o)), o);
+  }
+}
+
+void ExpectRecord(const Record& r, std::uint64_t offset) {
+  EXPECT_EQ(r.offset, offset);
+  EXPECT_EQ(r.append_time, static_cast<util::Micros>(offset)) << offset;
+  EXPECT_EQ(r.key, KeyOf(offset));
+  EXPECT_EQ(r.value, ValueOf(offset));
+}
+
+TEST(Partition, AppendsAcrossBlocksKeepDenseOffsets) {
+  Partition p;
+  Fill(p, 3 * kBlock + 17);
+  EXPECT_EQ(p.start_offset(), 0u);
+  EXPECT_EQ(p.end_offset(), 3 * kBlock + 17);
+  std::vector<Record> out;
+  EXPECT_EQ(p.ReadFrom(0, 1'000'000, out), 3 * kBlock + 17);
+  for (std::uint64_t i = 0; i < out.size(); ++i) ExpectRecord(out[i], i);
+}
+
+TEST(Partition, ReadFromSpansAndStartsAtBlockBoundaries) {
+  Partition p;
+  Fill(p, 2 * kBlock + 5);
+  struct Case {
+    std::uint64_t from;
+    std::size_t max;
+    std::size_t want;
+  };
+  const Case cases[] = {
+      {kBlock - 3, 10, 10},                  // spans the first boundary
+      {kBlock, 4, 4},                        // starts exactly at a boundary
+      {kBlock - 1, 1, 1},                    // last record of a block
+      {0, kBlock + 1, kBlock + 1},           // whole block plus one
+      {kBlock - 2, kBlock + 4, kBlock + 4},  // spans two boundaries
+      {2 * kBlock, 100, 5},                  // tail block, clipped at the end
+      {2 * kBlock + 5, 100, 0},              // exactly the end
+  };
+  for (const Case& c : cases) {
+    std::vector<Record> out;
+    ASSERT_EQ(p.ReadFrom(c.from, c.max, out), c.want) << c.from;
+    for (std::size_t i = 0; i < out.size(); ++i) ExpectRecord(out[i], c.from + i);
+  }
+}
+
+TEST(Partition, TruncateMidBlockAndAcrossBlocks) {
+  Partition p;
+  Fill(p, 3 * kBlock + 5);
+  const std::size_t resident = p.ResidentBytes();
+  const std::size_t bytes = p.SizeBytes();
+
+  // Mid-block: the start moves record-exact, memory stays until the block
+  // fully expires.
+  EXPECT_EQ(p.TruncateOlderThan(100), 100u);
+  EXPECT_EQ(p.start_offset(), 100u);
+  EXPECT_EQ(p.ResidentBytes(), resident);
+  EXPECT_LT(p.SizeBytes(), bytes);
+  std::vector<Record> out;
+  ASSERT_EQ(p.ReadFrom(0, 3, out), 3u);
+  ExpectRecord(out[0], 100);
+
+  // Past several blocks: the two wholly expired blocks (of four held) are
+  // freed.
+  const std::uint64_t cut = 2 * kBlock + 10;
+  EXPECT_EQ(p.TruncateOlderThan(static_cast<util::Micros>(cut)), cut - 100);
+  EXPECT_EQ(p.start_offset(), cut);
+  EXPECT_EQ(p.end_offset(), 3 * kBlock + 5);
+  EXPECT_LT(p.ResidentBytes(), resident * 2 / 3);
+  out.clear();
+  ASSERT_EQ(p.ReadFrom(kBlock, 1'000'000, out), kBlock - 5);
+  for (std::size_t i = 0; i < out.size(); ++i) ExpectRecord(out[i], cut + i);
+
+  // Live bytes are exactly what a fresh log of the surviving records holds.
+  Partition survivors;
+  for (const Record& r : out) survivors.Append(r.key, r.value, r.append_time);
+  EXPECT_EQ(p.SizeBytes(), survivors.SizeBytes());
+
+  // Appends keep flowing after blocks were freed; then drop everything.
+  Fill(p, kBlock);
+  EXPECT_EQ(p.end_offset(), 4 * kBlock + 5);
+  EXPECT_EQ(p.TruncateOlderThan(static_cast<util::Micros>(10 * kBlock)), 2 * kBlock - 5);
+  EXPECT_EQ(p.start_offset(), p.end_offset());
+  EXPECT_EQ(p.SizeBytes(), 0u);
+  out.clear();
+  EXPECT_EQ(p.ReadFrom(0, 10, out), 0u);
+  EXPECT_EQ(p.Append("k", "v", 0), 4 * kBlock + 5);
+}
+
+TEST(Partition, EmptyFieldsAndOversizedValuesRoundTrip) {
+  Partition p;
+  // A value larger than a whole block of ordinary records, mid-block.
+  const std::string big(kBlock * 64, 'x');
+  for (std::uint64_t i = 0; i < kBlock + 10; ++i) {
+    if (i == 7) {
+      p.Append("", "", 1);
+    } else if (i == kBlock - 1 || i == 20) {
+      p.Append("big", big, 2);
+    } else if (i == kBlock) {
+      p.Append("", "only-value", 3);
+    } else {
+      p.Append("only-key", "", 4);
+    }
+  }
+  std::vector<Record> out;
+  ASSERT_EQ(p.ReadFrom(0, 1'000'000, out), kBlock + 10);
+  EXPECT_EQ(out[7].key, "");
+  EXPECT_EQ(out[7].value, "");
+  EXPECT_EQ(out[7].append_time, 1);
+  EXPECT_EQ(out[20].value, big);
+  EXPECT_EQ(out[kBlock - 1].key, "big");
+  EXPECT_EQ(out[kBlock - 1].value, big);
+  EXPECT_EQ(out[kBlock].key, "");
+  EXPECT_EQ(out[kBlock].value, "only-value");
+  EXPECT_EQ(out[21].key, "only-key");
+  EXPECT_EQ(out[21].value, "");
+  EXPECT_EQ(out.back().offset, kBlock + 9);
+}
+
+// mq.topic.resident_bytes tracks the blocks the log holds: it stays put
+// while truncation only trims a block, and drops once a block is freed.
+TEST(Broker, ResidentBytesGaugeDropsWhenABlockIsFreed) {
+  Broker broker;
+  broker.CreateTopic("t", 1);
+  Fill(broker.GetTopic("t")->partition(0), 2 * kBlock + 1);
+  obs::MetricsRegistry registry;
+  auto resident = [&] {
+    broker.PublishTo(&registry);
+    return registry.GetGauge("mq.topic.resident_bytes", {{"topic", "t"}})->Value();
+  };
+  const std::int64_t full = resident();
+  EXPECT_GE(full, static_cast<std::int64_t>(broker.GetTopic("t")->TotalBytes()));
+  broker.TruncateOlderThan(static_cast<util::Micros>(kBlock - 1));
+  EXPECT_EQ(resident(), full);
+  broker.TruncateOlderThan(static_cast<util::Micros>(kBlock));
+  EXPECT_LT(resident(), full);
+  EXPECT_GT(resident(), 0);
 }
 
 TEST(Broker, CreateAndRouteTopics) {
@@ -173,6 +325,22 @@ TEST(Consumer, SurvivesTruncationUnderneath) {
   EXPECT_EQ(out[0].value, "fresh");
 }
 
+TEST(Consumer, SurvivesBlockFreeingUnderneath) {
+  Broker broker;
+  broker.CreateTopic("t", 1);
+  Partition& p = broker.GetTopic("t")->partition(0);
+  Fill(p, 3 * kBlock);
+  Consumer c(broker, "g", "t", {0});
+  std::vector<Record> out;
+  ASSERT_EQ(c.Poll(10, out), 10u);  // position 10, inside block 0
+  // Free blocks 0 and 1 and trim into block 2.
+  p.TruncateOlderThan(static_cast<util::Micros>(2 * kBlock + 3));
+  out.clear();
+  ASSERT_EQ(c.Poll(5, out), 5u);
+  for (std::size_t i = 0; i < out.size(); ++i) ExpectRecord(out[i], 2 * kBlock + 3 + i);
+  EXPECT_EQ(c.Lag(), kBlock - 8);
+}
+
 TEST(Broker, TruncateAllTopics) {
   Broker broker;
   broker.CreateTopic("a", 1);
@@ -187,7 +355,9 @@ TEST(Broker, TruncateAllTopics) {
 TEST(Mq, ConcurrentProducersConsumersDeliverEverything) {
   Broker broker;
   broker.CreateTopic("t", 4);
-  constexpr int kPerProducer = 2000;
+  // Enough records that every partition crosses several block boundaries
+  // while the consumer reads concurrently.
+  constexpr int kPerProducer = 4 * static_cast<int>(Partition::kBlockRecords);
   std::vector<std::thread> producers;
   for (int p = 0; p < 3; ++p) {
     producers.emplace_back([&broker, p] {
@@ -197,14 +367,20 @@ TEST(Mq, ConcurrentProducersConsumersDeliverEverything) {
       }
     });
   }
-  for (auto& t : producers) t.join();
   Consumer c(broker, "g", "t", {0, 1, 2, 3});
   std::vector<Record> out;
-  std::size_t total = 0;
+  std::thread consumer([&] {
+    while (out.size() < 3u * kPerProducer / 2) c.Poll(512, out);
+  });
+  for (auto& t : producers) t.join();
+  consumer.join();
   while (c.Poll(512, out) > 0) {
-    total = out.size();
   }
-  EXPECT_EQ(total, 3u * kPerProducer);
+  ASSERT_EQ(out.size(), 3u * kPerProducer);
+  std::set<std::string> keys;
+  for (const Record& r : out) keys.insert(r.key);
+  EXPECT_EQ(keys.size(), 3u * kPerProducer);  // each record exactly once
+  EXPECT_GT(broker.GetTopic("t")->partition(0).end_offset(), 2 * kBlock);
 }
 
 TEST(Topic, TotalsAggregatePartitions) {
@@ -430,6 +606,43 @@ TEST(MqDurable, RetentionRetiresSealedSegments) {
   ASSERT_TRUE(broker.SyncStore().ok());
   EXPECT_LT(st.value()->List("mq/updates/0/").size(), before);
   EXPECT_TRUE(st.value()->CheckInvariants().ok());
+}
+
+// A multi-block log rebuilt from the store keeps exact offsets, append
+// times, keys and values — including a start offset that retention moved
+// off a block boundary.
+TEST(MqDurable, MultiBlockLogRebuildsExactly) {
+  DurableDir dir;
+  auto st = store::SegmentStore::Open(LogOptions(dir.path / "mqlog.hstore"));
+  ASSERT_TRUE(st.ok());
+  const std::uint64_t total = 2 * kBlock + 100;
+  {
+    Broker broker;
+    ASSERT_TRUE(broker.BindStore(st.value().get()).ok());
+    ASSERT_TRUE(broker.CreateTopic("updates", 1).ok());
+    Fill(broker.GetTopic("updates")->partition(0), total);
+    broker.TruncateOlderThan(1000);  // retires the sealed segments below it
+    ASSERT_TRUE(broker.SyncStore().ok());
+  }
+  Broker rebuilt;
+  ASSERT_TRUE(rebuilt.BindStore(st.value().get()).ok());
+  ASSERT_TRUE(rebuilt.CreateTopic("updates", 1).ok());
+  Partition& p = rebuilt.GetTopic("updates")->partition(0);
+  const std::uint64_t start = p.start_offset();
+  EXPECT_GT(start, 0u);
+  EXPECT_LE(start, 1000u);
+  EXPECT_EQ(p.end_offset(), total);
+  std::vector<Record> out;
+  ASSERT_EQ(p.ReadFrom(0, 1'000'000, out), total - start);
+  for (std::size_t i = 0; i < out.size(); ++i) ExpectRecord(out[i], start + i);
+
+  // The rebuilt log keeps appending at dense offsets and truncating whole
+  // blocks relative to its restored base.
+  Fill(p, kBlock);
+  EXPECT_EQ(p.TruncateOlderThan(static_cast<util::Micros>(start + kBlock + 1)), kBlock + 1);
+  out.clear();
+  ASSERT_EQ(p.ReadFrom(0, 1, out), 1u);
+  ExpectRecord(out[0], start + kBlock + 1);
 }
 
 }  // namespace

@@ -896,6 +896,26 @@ TEST(AggregateCache, CapacityPressureFlushesWholeEpochs) {
   EXPECT_FALSE(cache.Lookup(63, 1, 2, 0, -1, out, &stale));
 }
 
+// A slot claimed after an epoch flush must get a fresh arena row: reusing
+// the stale offset would let two vertices share one aggregate.
+TEST(AggregateCache, SlotClaimedAfterClearGetsItsOwnRow) {
+  AggregateCache cache(8);
+  const float a1[2] = {1.f, 1.f}, b1[2] = {2.f, 2.f};
+  const float a2[2] = {3.f, 3.f}, c1[2] = {4.f, 4.f};
+  cache.Put(1, 1, 2, 0, a1);
+  cache.Put(2, 1, 2, 0, b1);
+  cache.Clear();
+  cache.Put(1, 1, 2, 0, a2);
+  cache.Put(3, 1, 2, 0, c1);
+  float out[2] = {};
+  bool stale = false;
+  ASSERT_TRUE(cache.Lookup(1, 1, 2, 0, -1, out, &stale));
+  EXPECT_TRUE(BitEqual(out, a2));
+  ASSERT_TRUE(cache.Lookup(3, 1, 2, 0, -1, out, &stale));
+  EXPECT_TRUE(BitEqual(out, c1));
+  EXPECT_FALSE(cache.Lookup(2, 1, 2, 0, -1, out, &stale));
+}
+
 // Builds the small two-hop graph every cache test below uses:
 //   user -> {i1, i2};  i1 -> {j1, j2};  i2 -> {j2}
 struct CacheGraph {
