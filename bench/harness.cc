@@ -5,8 +5,10 @@
 #include <map>
 #include <functional>
 
-#include "ft/fence.h"
 #include "ft/supervisor.h"
+#include "graph/update_codec.h"
+#include "helios/node_engine.h"
+#include "mq/mq.h"
 #include "util/clock.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -76,6 +78,13 @@ class SerialQueue {
   bool busy_ = false;
 };
 
+// The vertex whose owner shard ingests an update (out-neighbor sampling:
+// an edge lives at its source).
+graph::VertexId RoutingVertex(const graph::GraphUpdate& u) {
+  if (const auto* e = std::get_if<graph::EdgeUpdate>(&u)) return e->src;
+  return std::get<graph::VertexUpdate>(u).id;
+}
+
 std::size_t ResponseBytes(const SampledSubgraph& result) {
   std::size_t bytes = 64;
   for (const auto& layer : result.layers) bytes += layer.size() * 12;
@@ -134,17 +143,7 @@ void HeliosDeployment::DrainOutputs(SamplingShardCore::Outputs& out) {
 void HeliosDeployment::IngestAll(const std::vector<graph::GraphUpdate>& updates) {
   SamplingShardCore::Outputs out;
   for (const auto& u : updates) {
-    const graph::VertexId routing = std::visit(
-        [](const auto& x) {
-          using T = std::decay_t<decltype(x)>;
-          if constexpr (std::is_same_v<T, graph::EdgeUpdate>) {
-            return x.src;
-          } else {
-            return x.id;
-          }
-        },
-        u);
-    shards_[map_.ShardOf(routing)]->OnGraphUpdate(u, 0, out);
+    shards_[map_.ShardOf(RoutingVertex(u))]->OnGraphUpdate(u, 0, out);
     DrainOutputs(out);
   }
 }
@@ -166,15 +165,10 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
   if (trace != nullptr) {
     trace->BindDroppedCounter(run_registry.GetCounter("obs.trace.dropped_events"));
   }
-  // Dissemination batching metrics, same names as the threaded runtime.
-  obs::Counter* diss_batches = run_registry.GetCounter("dissemination.batches");
-  obs::Counter* diss_messages = run_registry.GetCounter("dissemination.messages");
-  obs::Counter* diss_coalesced = run_registry.GetCounter("dissemination.coalesced_msgs");
-  obs::Counter* diss_bytes = run_registry.GetCounter("dissemination.bytes_wire");
-  obs::LatencyMetric* diss_occupancy = run_registry.GetLatency("dissemination.batch_occupancy");
   // Nodes 0..M-1 sampling, M..M+N-1 serving.
   const std::uint32_t M = config_.sampling_nodes;
   const std::uint32_t N = config_.serving_nodes;
+  const std::uint32_t S = map_.TotalShards();
   sim::SimCluster::Options copt;
   copt.num_nodes = M + N + 1;  // +1: the producer/front-end node
   copt.cores_per_node = std::max(config_.sampling_threads, config_.serving_threads);
@@ -204,8 +198,8 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
     }
   }
 
-  std::vector<SerialQueue> shard_queues(map_.TotalShards());
-  for (std::uint32_t s = 0; s < map_.TotalShards(); ++s) {
+  std::vector<SerialQueue> shard_queues(S);
+  for (std::uint32_t s = 0; s < S; ++s) {
     shard_queues[s].Attach(sampling_cpu[map_.WorkerOfShard(s)].get());
   }
   // §4.3: each serving worker runs several data-updating threads; updates
@@ -225,286 +219,154 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
   IngestReport report;
   report.updates = updates.size();
   std::uint64_t applied_at_serving = 0;
-
-  // ---- fault-tolerance state (docs/FAULT_TOLERANCE.md)
-  //
-  // Per-destination epoch/seq fences, keyed by source shard. Admission runs
-  // at frame delivery (one event) before the batch splits across the
-  // worker's data-updating threads: the fence's frame-contiguity invariant
-  // holds per (shard -> worker) stream, which sub-queue interleaving would
-  // break.
-  std::vector<ft::EpochFence> serving_fences(N);
-  obs::Counter* ft_deltas_fenced = run_registry.GetCounter("ft.deltas_fenced");
   const bool fault_mode = fault != nullptr;
-  struct LogEntry {
-    bool ctrl = false;
-    // Whether this entry's dissemination.* contribution has been recorded.
-    // An entry counts exactly once: either when its original execution
-    // completes, or — if the crash swallowed that completion — when its
-    // replay does. This is what makes a faulty run's dissemination counters
-    // equal an uninterrupted golden run's (fig20 gates on it).
-    bool counted = false;
-    std::vector<graph::GraphUpdate> updates;
-    std::vector<SubscriptionDelta> deltas;
-    std::int64_t origin = 0;
-  };
-  // The DES stand-in for the broker's durable per-shard partitions: every
-  // batch bound for a shard queue is appended here first (fault mode only),
-  // so a crashed node replays its tail from the checkpointed position.
-  std::vector<std::vector<LogEntry>> shard_log(map_.TotalShards());
-  std::vector<std::string> ckpt_bytes(map_.TotalShards());
-  std::vector<std::size_t> ckpt_pos(map_.TotalShards(), 0);
-  // Killing a node bumps its shards' incarnation: jobs submitted to (or in
-  // flight on) the dead incarnation become no-ops, mirroring the threaded
-  // runtime's mailbox drop.
-  std::vector<std::uint64_t> incarnation(map_.TotalShards(), 0);
-  std::vector<char> node_dead(M, 0);
-  std::vector<char> node_recovering(M, 0);
-  bool monitoring = fault_mode;
-  std::uint64_t replayed_updates = 0;
   std::vector<std::uint64_t> timeline;
   const std::uint64_t ctrl_fenced_before =
       fault_mode ? registry_.TakeSnapshot().CounterTotal("ft.ctrl_deltas_fenced") : 0;
 
-  // Delivery of one serving-bound batch (carrying its origin time). The
-  // wire is priced at the framed ServingBatch size, computed incrementally
-  // by the builder — the in-process payload skips the byte codec. The
-  // (src_shard, epoch) stamp plays the role of the ServingBatch frame
-  // header: replayed duplicates fence here, exactly once per change.
-  auto deliver_to_serving = [&](std::uint32_t from_node, std::uint32_t sew,
-                                std::vector<ServingMessage> batch, std::size_t bytes,
-                                std::uint32_t src_shard, std::uint32_t epoch,
-                                std::uint64_t flow_id) {
-    cluster.Send(from_node, M + sew, bytes,
-                 [&, sew, src_shard, epoch, flow_id, bytes, batch = std::move(batch)]() mutable {
-                   // Close the frame's flow on the serving lane; the matching
-                   // start was emitted by route_outputs on the sampler lane.
-                   if (trace != nullptr && flow_id != 0) {
-                     trace->AddFlowEnd("batch", "dissemination", env.now(), M + sew, 0, flow_id);
-                   }
-                   if (obs != nullptr && obs->telemetry != nullptr) {
-                     obs->telemetry->RecordBytes(sew, env.now(), bytes);
-                   }
-                   ft::EpochFence& fence = serving_fences[sew];
-                   const ft::EpochFence::FrameToken token = fence.BeginFrame(src_shard, epoch);
-                   std::vector<ServingMessage> admitted;
-                   admitted.reserve(batch.size());
-                   std::uint64_t fenced = 0;
-                   for (auto& m : batch) {
-                     if (token.stale) {
-                       fenced += m.kind() == ServingMessage::Kind::kSampleDelta
-                                     ? m.delta().num_changes()
-                                     : 1;
-                       continue;
-                     }
-                     fenced += FenceInto(fence, src_shard, token, m,
-                                         [&](const ServingMessage& ok) {
-                                           admitted.push_back(ok);
-                                         });
-                   }
-                   if (fenced > 0) ft_deltas_fenced->Add(fenced);
-                   if (trace != nullptr) {
-                     // Close each admitted update's causal flow. Messages of
-                     // one update sit adjacent in the frame, so deduping
-                     // consecutive ids emits one end per update.
-                     std::uint64_t last_update_flow = 0;
-                     for (const auto& m : admitted) {
-                       if (m.trace.active() && m.trace.trace_id != last_update_flow) {
-                         last_update_flow = m.trace.trace_id;
-                         trace->AddFlowEnd("update", "causal", env.now(), M + sew, 0,
-                                           m.trace.trace_id);
-                       }
-                     }
-                   }
-                   // Split across the worker's data-updating threads.
-                   std::map<std::uint32_t, std::vector<ServingMessage>> per_queue;
-                   for (auto& m : admitted) {
-                     per_queue[update_queue_of(sew, m)].push_back(std::move(m));
-                   }
-                   for (auto& [q, sub] : per_queue) {
-                   serving_queues[q].Submit(
-                       [&, sew, src_shard, batch = std::move(sub)]() -> util::Nanos {
-                         const auto t = util::TimeItNanos([&] {
-                           for (const auto& m : batch) serving_[sew]->Apply(m);
-                         });
-                         tracer.RecordSpan(obs::Stage::kCacheApply, env.now(), t / 1000,
-                                           M + sew, 0);
-                         for (const auto& m : batch) {
-                           tracer.RecordEndToEnd(m.OriginMicros(), env.now());
-                           applied_at_serving++;
-                           if (obs != nullptr && m.OriginMicros() > 0 &&
-                               env.now() >= m.OriginMicros()) {
-                             if (obs->freshness != nullptr) {
-                               obs->freshness->OnApply(m.TargetVertex(), src_shard,
-                                                       m.OriginMicros(), env.now());
-                             }
-                             if (obs->telemetry != nullptr) {
-                               obs->telemetry->RecordStaleness(
-                                   sew, env.now(),
-                                   static_cast<std::uint64_t>(env.now() - m.OriginMicros()));
-                             }
-                           }
-                         }
-                         if (fault_mode && fault->timeline_bucket_us > 0) {
-                           const std::size_t b = static_cast<std::size_t>(
-                               env.now() / fault->timeline_bucket_us);
-                           if (timeline.size() <= b) timeline.resize(b + 1, 0);
-                           timeline[b] += batch.size();
-                         }
-                         return t;
-                       },
-                       [] {});
-                   }
+  // The durable log, as in the threaded runtime: one partition per shard
+  // holding its graph updates and inbound control deltas in one total
+  // order. Records land when they reach the shard's node, even a dead one,
+  // so a crashed node replays its tail from the checkpointed offset.
+  mq::Broker broker;
+  broker.CreateTopic("updates", S);
+  mq::Topic& log = *broker.GetTopic("updates");
+
+  // The node engine (helios/node_engine.h) for this run: one step per
+  // shard, wrapping the deployment's cores (handed back at the end), and
+  // one fenced frame applier per serving worker. The run's log starts at 0.
+  auto ledgers = std::make_unique<ShardLedger[]>(S);
+  auto wiring_of = [&](std::uint32_t s) {
+    return ShardStep::Wiring{&run_registry, &virtual_clock, trace, &trace_ids,
+                             map_.WorkerOfShard(s), &ledgers[s]};
+  };
+  std::vector<std::unique_ptr<ShardStep>> steps;
+  for (std::uint32_t s = 0; s < S; ++s) {
+    shards_[s]->set_applied_offset(0);
+    steps.push_back(std::make_unique<ShardStep>(std::move(shards_[s]), wiring_of(s)));
+  }
+  std::vector<FrameApplier> appliers;
+  appliers.reserve(N);
+  for (std::uint32_t n = 0; n < N; ++n) appliers.emplace_back(&run_registry, &tracer, M + n);
+
+  // Delivery of one serving-bound frame, priced at its encoded size. The
+  // applier fences it at delivery (one event, so the fence sees each
+  // shard -> worker stream in order), then the admitted messages split
+  // across the worker's data-updating threads.
+  auto deliver_frame = [&](std::uint32_t from_node, std::uint32_t sew, std::string frame) {
+    const std::size_t bytes = frame.size();
+    cluster.Send(from_node, M + sew, bytes, [&, sew, bytes, frame = std::move(frame)] {
+      if (obs != nullptr && obs->telemetry != nullptr) {
+        obs->telemetry->RecordBytes(sew, env.now(), bytes);
+      }
+      std::map<std::uint32_t, std::vector<ServingMessage>> per_queue;
+      const std::uint32_t src_shard =
+          appliers[sew]
+              .Deliver(frame, [&](std::uint32_t, const ServingMessage& m) {
+                per_queue[update_queue_of(sew, m)].push_back(m);
+              })
+              .src_shard;
+      for (auto& [q, sub] : per_queue) {
+        serving_queues[q].Submit(
+            [&, sew, src_shard, batch = std::move(sub)]() -> util::Nanos {
+              const auto t = util::TimeItNanos([&] {
+                for (const auto& m : batch) serving_[sew]->Apply(m);
+              });
+              tracer.RecordSpan(obs::Stage::kCacheApply, env.now(), t / 1000, M + sew, 0);
+              for (const auto& m : batch) {
+                tracer.RecordEndToEnd(m.OriginMicros(), env.now());
+                applied_at_serving++;
+                if (obs != nullptr && m.OriginMicros() > 0 && env.now() >= m.OriginMicros()) {
+                  if (obs->freshness != nullptr) {
+                    obs->freshness->OnApply(m.TargetVertex(), src_shard, m.OriginMicros(),
+                                            env.now());
+                  }
+                  if (obs->telemetry != nullptr) {
+                    obs->telemetry->RecordStaleness(
+                        sew, env.now(), static_cast<std::uint64_t>(env.now() - m.OriginMicros()));
+                  }
+                }
+              }
+              if (fault_mode && fault->timeline_bucket_us > 0) {
+                const std::size_t b =
+                    static_cast<std::size_t>(env.now() / fault->timeline_bucket_us);
+                if (timeline.size() <= b) timeline.resize(b + 1, 0);
+                timeline[b] += batch.size();
+              }
+              return t;
+            },
+            [] {});
+      }
+    });
+  };
+
+  // ---- shard jobs
+  //
+  // Killing a node bumps its shards' incarnation: jobs queued on the dead
+  // incarnation become no-ops, mirroring the threaded runtime's mailbox
+  // drop. A job already in service when the crash lands still completes
+  // (the crash falls between jobs), so every frame the engine counted is
+  // delivered.
+  std::vector<std::uint64_t> incarnation(S, 0);
+  std::vector<char> node_dead(M, 0);
+  std::vector<char> node_recovering(M, 0);
+  // What one job emitted, routed at its virtual completion.
+  struct Emission : ShardStep::Sink {
+    std::vector<std::pair<std::uint32_t, std::string>> frames;
+    std::vector<std::pair<std::uint32_t, SubscriptionDelta>> ctrl;
+    void Frame(std::uint32_t sew, const std::string& frame, std::uint32_t) override {
+      frames.emplace_back(sew, frame);
+    }
+    void Ctrl(std::uint32_t shard, const SubscriptionDelta& delta) override {
+      ctrl.emplace_back(shard, delta);
+    }
+  };
+  std::function<void(std::uint32_t)> consume;
+  // Sends records to shard `s`'s node, priced at their encoded size; they
+  // join its log on arrival, stamped with their send time, and a job
+  // consumes them.
+  auto ship = [&](std::uint32_t from_node, std::uint32_t s, std::vector<std::string> records,
+                  sim::SimTime sent_us) {
+    std::size_t bytes = 0;
+    for (const auto& r : records) bytes += r.size();
+    cluster.Send(from_node, map_.WorkerOfShard(s), bytes,
+                 [&, s, records = std::move(records), sent_us] {
+                   for (const auto& r : records) log.partition(s).Append(std::string(), r, sent_us);
+                   consume(s);
                  });
   };
-
-  // Shard-level work items: a batch of graph updates or a batch of deltas.
-  // `replay` marks recovery re-submissions: they skip the durable log (they
-  // came from it) and count toward ft.updates_replayed. `log_idx` is the
-  // entry's position in its shard's durable log (kNoLogEntry outside fault
-  // mode) — completion uses it to record the entry's dissemination.*
-  // contribution exactly once across original execution and replay.
-  constexpr std::size_t kNoLogEntry = static_cast<std::size_t>(-1);
-  std::function<void(std::uint32_t, std::vector<graph::GraphUpdate>, std::int64_t, bool,
-                     std::size_t)>
-      submit_updates;
-  std::function<void(std::uint32_t, std::vector<SubscriptionDelta>, std::int64_t, bool,
-                     std::size_t)>
-      submit_delta;
-
-  auto route_outputs = [&](std::uint32_t shard, SamplingShardCore::Outputs& out,
-                           std::int64_t origin, bool count) {
+  auto route = [&](std::uint32_t shard, Emission& em) {
     const std::uint32_t node = map_.WorkerOfShard(shard);
-    // Between a job's service and its completion no other job of the queue
-    // runs, so the core's epoch here is the epoch its emissions were
-    // stamped with.
-    const std::uint32_t epoch = shards_[shard]->epoch();
-    // One ServingBatch frame per active destination worker (already grouped
-    // and coalesced by the Outputs batch builders).
-    for (const std::uint32_t sew : out.to_serving.active()) {
-      ServingBatchBuilder& b = out.to_serving.builder(sew);
-      if (b.empty()) continue;
-      const std::size_t bytes = b.WireBytes();
-      std::uint64_t flow = 0;
-      if (trace != nullptr) {
-        // Frame-level flow: opened on the sampler lane, closed by
-        // deliver_to_serving on the destination worker's lane.
-        flow = trace_ids.Next();
-        trace->AddFlowStart("batch", "dissemination", env.now(), node, shard, flow);
-      }
-      // `count` is false when this execution re-derives work that was
-      // already recorded before a crash (satellite: replay-aware metrics).
-      if (count) {
-        diss_batches->Add(1);
-        diss_messages->Add(b.size());
-        diss_coalesced->Add(b.coalesced());
-        diss_bytes->Add(bytes);
-        diss_occupancy->Record(b.size());
-      }
-      deliver_to_serving(node, sew, b.TakeMessages(), bytes, shard, epoch, flow);
-    }
-    // Batch control-plane deltas per destination shard (one message each).
-    std::map<std::uint32_t, std::vector<SubscriptionDelta>> per_shard_deltas;
-    for (auto& [dest, delta] : out.to_shards) per_shard_deltas[dest].push_back(delta);
-    for (auto& [dest, deltas] : per_shard_deltas) {
-      const std::uint32_t dest_node = map_.WorkerOfShard(dest);
-      std::size_t bytes = 0;
-      for (const auto& d : deltas) bytes += WireSize(d);
-      cluster.Send(node, dest_node, bytes,
-                   [&submit_delta, dest, deltas = std::move(deltas), origin]() mutable {
-                     submit_delta(dest, std::move(deltas), origin, false, kNoLogEntry);
-                   });
-    }
-    out.Clear();
+    for (auto& [sew, frame] : em.frames) deliver_frame(node, sew, std::move(frame));
+    // Control deltas: one network message per destination shard.
+    std::map<std::uint32_t, std::vector<std::string>> per_shard;
+    for (const auto& [dest, delta] : em.ctrl) per_shard[dest].push_back(EncodeCtrlRecord(delta));
+    for (auto& [dest, records] : per_shard) ship(node, dest, std::move(records), env.now());
   };
-
-  // Marks `log_idx` counted and returns whether this completion should
-  // record dissemination.* (exactly-once across execution and replay).
-  auto should_count = [&](std::uint32_t shard, std::size_t log_idx) {
-    if (!fault_mode || log_idx == kNoLogEntry) return true;
-    LogEntry& e = shard_log[shard][log_idx];
-    const bool count = !e.counted;
-    e.counted = true;
-    return count;
-  };
-
-  submit_updates = [&](std::uint32_t shard, std::vector<graph::GraphUpdate> batch,
-                       std::int64_t origin, bool replay, std::size_t log_idx) {
-    if (fault_mode && !replay) {
-      shard_log[shard].push_back({false, false, batch, {}, origin});
-      log_idx = shard_log[shard].size() - 1;
-    }
-    // A dead node takes no work; the entry above stays durable for replay.
-    if (node_dead[map_.WorkerOfShard(shard)] != 0) return;
-    const std::uint64_t inc = incarnation[shard];
-    auto out = std::make_shared<SamplingShardCore::Outputs>();
-    shard_queues[shard].Submit(
-        [&, shard, batch = std::move(batch), origin, replay, inc, out]() -> util::Nanos {
-          if (inc != incarnation[shard]) return 0;  // job of a crashed incarnation
-          // Queue wait: update entered the system -> shard core dispatch.
-          if (env.now() >= origin) {
-            tracer.RecordDuration(obs::Stage::kIngest,
-                                  static_cast<std::uint64_t>(env.now() - origin));
-          }
-          const auto t = util::TimeItNanos([&] {
-            for (const auto& u : batch) {
-              if (trace != nullptr) {
-                // Mint the update's causal context and open its flow here —
-                // the single point every update enters its shard. The
-                // serving-side apply closes it.
-                const obs::TraceContext ctx = trace_ids.Root();
-                trace->AddFlowStart("update", "causal", env.now(),
-                                    map_.WorkerOfShard(shard), shard, ctx.trace_id);
-                shards_[shard]->OnGraphUpdate(u, origin, *out, ctx);
-              } else {
-                shards_[shard]->OnGraphUpdate(u, origin, *out);
-              }
-            }
-          });
-          if (replay) replayed_updates += batch.size();
-          tracer.RecordSpan(obs::Stage::kSample, env.now(), t / 1000,
-                            map_.WorkerOfShard(shard), shard);
-          return t;
+  // Queues a job that consumes shard `s`'s log through everything appended
+  // so far. A dead node takes no work; its records wait in the log. The
+  // log read is the poller's work (its own thread in the threaded
+  // runtime), so only the step itself is charged to the shard.
+  consume = [&](std::uint32_t s) {
+    if (node_dead[map_.WorkerOfShard(s)] != 0) return;
+    const std::uint64_t end = log.partition(s).end_offset();
+    const std::uint64_t inc = incarnation[s];
+    auto em = std::make_shared<Emission>();
+    shard_queues[s].Submit(
+        [&, s, end, inc, em]() -> util::Nanos {
+          if (inc != incarnation[s]) return 0;  // job of a crashed incarnation
+          ShardStep& step = *steps[s];
+          const std::uint64_t from = step.core().applied_offset();
+          if (end <= from) return 0;
+          std::vector<mq::Record> records;
+          log.partition(s).ReadFrom(from, end - from, records);
+          return util::TimeItNanos([&] { step.Consume(records, *em); });
         },
-        [&, shard, origin, inc, out, log_idx] {
-          if (inc != incarnation[shard]) return;
-          route_outputs(shard, *out, origin, should_count(shard, log_idx));
-        });
-  };
-
-  submit_delta = [&](std::uint32_t shard, std::vector<SubscriptionDelta> deltas,
-                     std::int64_t origin, bool replay, std::size_t log_idx) {
-    if (fault_mode && !replay) {
-      shard_log[shard].push_back({true, false, {}, deltas, origin});
-      log_idx = shard_log[shard].size() - 1;
-    }
-    if (node_dead[map_.WorkerOfShard(shard)] != 0) return;
-    const std::uint64_t inc = incarnation[shard];
-    auto out = std::make_shared<SamplingShardCore::Outputs>();
-    shard_queues[shard].Submit(
-        [&, shard, deltas = std::move(deltas), origin, inc, out]() -> util::Nanos {
-          if (inc != incarnation[shard]) return 0;
-          const auto t = util::TimeItNanos([&] {
-            // AdmitCtrl fences a replaying peer's re-emitted deltas, exactly
-            // as the threaded shard does when consuming its log.
-            for (const auto& d : deltas) {
-              if (shards_[shard]->AdmitCtrl(d)) {
-                shards_[shard]->OnSubscriptionDelta(d, origin, *out);
-              }
-            }
-          });
-          tracer.RecordSpan(obs::Stage::kCascade, env.now(), t / 1000,
-                            map_.WorkerOfShard(shard), shard);
-          return t;
-        },
-        [&, shard, origin, inc, out, log_idx] {
-          if (inc != incarnation[shard]) return;
-          route_outputs(shard, *out, origin, should_count(shard, log_idx));
-        });
+        [&, s, em] { route(s, *em); });
   };
 
   // Arrival process: chunks of the stream arrive at the producer and are
-  // scattered (one network hop) to the owning sampling nodes.
+  // scattered (one network hop) to the owning sampling nodes' logs.
   const double rate_per_us = offered_rate_mps;  // M updates/s == updates/us
   for (std::size_t start = 0; start < updates.size(); start += kChunk) {
     const std::size_t end = std::min(start + kChunk, updates.size());
@@ -512,30 +374,15 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
         rate_per_us > 0 ? static_cast<sim::SimTime>(static_cast<double>(start) / rate_per_us)
                         : 0;
     env.ScheduleAt(arrival, [&, start, end, arrival] {
-      // Split the chunk by shard, preserving order.
-      std::vector<std::vector<graph::GraphUpdate>> per_shard(map_.TotalShards());
-      std::size_t bytes_per_node = 0;
+      // Split the chunk by shard, preserving order. The send time is each
+      // update's origin (it entered the system at the producer).
+      std::vector<std::vector<std::string>> per_shard(S);
       for (std::size_t i = start; i < end; ++i) {
-        const auto& u = updates[i];
-        const graph::VertexId routing = std::visit(
-            [](const auto& x) {
-              using T = std::decay_t<decltype(x)>;
-              if constexpr (std::is_same_v<T, graph::EdgeUpdate>) {
-                return x.src;
-              } else {
-                return x.id;
-              }
-            },
-            u);
-        per_shard[map_.ShardOf(routing)].push_back(u);
-        bytes_per_node += 40;
+        per_shard[map_.ShardOf(RoutingVertex(updates[i]))].push_back(
+            graph::EncodeUpdate(updates[i]));
       }
-      for (std::uint32_t s = 0; s < map_.TotalShards(); ++s) {
-        if (per_shard[s].empty()) continue;
-        cluster.Send(producer_node, map_.WorkerOfShard(s), bytes_per_node / map_.TotalShards(),
-                     [&submit_updates, s, batch = std::move(per_shard[s]), arrival]() mutable {
-                       submit_updates(s, std::move(batch), arrival, false, kNoLogEntry);
-                     });
+      for (std::uint32_t s = 0; s < S; ++s) {
+        if (!per_shard[s].empty()) ship(producer_node, s, std::move(per_shard[s]), arrival);
       }
     });
   }
@@ -560,134 +407,109 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
   std::unique_ptr<ft::Supervisor> supervisor;
   std::function<void()> beat_all;  // recurring events; must outlive env.Run()
   std::function<void()> tick_supervisor;
-  auto pending_shards = std::make_shared<std::uint32_t>(0);
+  bool monitoring = fault_mode;
+  std::vector<std::string> ckpt_bytes(S);
+  auto checkpoint_shard = [&](std::uint32_t s) {
+    graph::ByteWriter w;
+    steps[s]->core().Serialize(w);
+    ckpt_bytes[s] = w.Take();
+  };
+  std::uint32_t pending_shards = 0;
   if (fault_mode) {
     const std::uint32_t victim = fault->victim_node;
-    const std::uint32_t S = map_.shards_per_worker;
+    const std::uint32_t spw = map_.shards_per_worker;
     // Entry-state snapshot (virtual t=0, before any stream event): recovery
     // never starts cold even when the crash lands before the first periodic
     // checkpoint. State built outside this emulation (IngestAll warm-up) is
     // not log-derived, so a fresh core + full replay would lose it.
-    for (std::uint32_t s = 0; s < map_.TotalShards(); ++s) {
-      graph::ByteWriter w;
-      shards_[s]->Serialize(w);
-      ckpt_bytes[s] = w.Take();
-      ckpt_pos[s] = 0;
-    }
-    // Periodic checkpoint: rides the shard queues so the snapshot is
-    // consistent with job order (service functions execute queue-serialized,
-    // possibly ahead of virtual time — a snapshot taken directly in a
-    // scheduled event would see state the virtual clock hasn't reached).
+    for (std::uint32_t s = 0; s < S; ++s) checkpoint_shard(s);
+    // Periodic checkpoint: rides the shard queues so the snapshot (and the
+    // applied offset inside it) is consistent with job order.
     if (fault->checkpoint_at_us > 0) {
       env.ScheduleAt(fault->checkpoint_at_us, [&] {
-        for (std::uint32_t s = 0; s < map_.TotalShards(); ++s) {
+        for (std::uint32_t s = 0; s < S; ++s) {
           if (node_dead[map_.WorkerOfShard(s)] != 0) continue;
-          const std::size_t pos = shard_log[s].size();
           const std::uint64_t inc = incarnation[s];
           shard_queues[s].Submit(
-              [&, s, pos, inc]() -> util::Nanos {
+              [&, s, inc]() -> util::Nanos {
                 if (inc != incarnation[s]) return 0;
-                const auto t = util::TimeItNanos([&] {
-                  graph::ByteWriter w;
-                  shards_[s]->Serialize(w);
-                  ckpt_bytes[s] = w.Take();
-                });
-                ckpt_pos[s] = pos;
-                return t;
+                return util::TimeItNanos([&] { checkpoint_shard(s); });
               },
               [] {});
         }
       });
     }
-    // The crash: drop the victim's cores. Jobs already queued (and the one
-    // in flight) die with the incarnation; the log keeps their records.
-    env.ScheduleAt(fault->kill_at_us, [&, victim, S] {
+    // The crash: queued jobs die with the incarnation; the log keeps their
+    // records.
+    env.ScheduleAt(fault->kill_at_us, [&, victim, spw] {
       report.fault_killed_at_us = env.now();
       node_dead[victim] = 1;
-      for (std::uint32_t i = 0; i < S; ++i) ++incarnation[victim * S + i];
+      for (std::uint32_t i = 0; i < spw; ++i) ++incarnation[victim * spw + i];
     });
 
     // Recovery hook, invoked by the supervisor's Tick when the victim's
-    // heartbeat ages out. Restores each shard from its checkpoint (the
-    // deserialize runs here — real compute — and its measured cost is
-    // charged to the shard queue as the restore job's service time), then
-    // replays the durable log tail under the old epoch; the receivers fence
-    // every re-emission that already landed before the crash. A catch-up
-    // marker per shard bumps it into the granted epoch once its tail is
-    // done; the last marker re-admits the node.
+    // heartbeat ages out. Each shard gets a fresh step installed from its
+    // checkpoint (the deserialize runs here — real compute — and its
+    // measured cost is charged to the shard queue), then one job replays
+    // its log tail; the engine bumps into the granted epoch at the replay
+    // target. A marker per shard follows; the last one re-admits the node.
     supervisor = std::make_unique<ft::Supervisor>(
         ft::Supervisor::Options{fault->detect_timeout_us}, &run_registry,
-        [&, S](std::uint64_t node, std::uint32_t epoch, util::Micros now) -> ft::RecoveryReport {
+        [&, spw](std::uint64_t node, std::uint32_t epoch, util::Micros) -> ft::RecoveryReport {
           ft::RecoveryReport rep;
           rep.node = node;
           rep.epoch = epoch;
           const std::uint32_t n32 = static_cast<std::uint32_t>(node);
           node_dead[n32] = 0;        // reopen the submission path for replay
           node_recovering[n32] = 1;  // no heartbeats until caught up
-          *pending_shards = S;
-          for (std::uint32_t i = 0; i < S; ++i) {
-            const std::uint32_t s = n32 * S + i;
-            SamplingShardCore::Options opts;
-            opts.registry = &registry_;
-            auto fresh = std::make_unique<SamplingShardCore>(plan_, map_, s, config_.seed, opts);
-            util::Nanos restore_ns = 0;
-            if (!ckpt_bytes[s].empty()) {
-              bool ok = true;
-              restore_ns = util::TimeItNanos([&] {
-                graph::ByteReader r(ckpt_bytes[s]);
-                ok = SamplingShardCore::Deserialize(r, *fresh);
-              });
-              if (!ok) {
-                rep.error = "corrupt checkpoint for shard " + std::to_string(s);
-                return rep;
-              }
-              ++rep.shards_restored;
+          pending_shards = spw;
+          for (std::uint32_t i = 0; i < spw; ++i) {
+            const std::uint32_t s = n32 * spw + i;
+            auto fresh = std::make_unique<ShardStep>(
+                std::make_unique<SamplingShardCore>(plan_, map_, s, config_.seed,
+                                                    SamplingShardCore::Options{0, &registry_}),
+                wiring_of(s));
+            const std::uint64_t end = log.partition(s).end_offset();
+            util::Status installed;
+            const util::Nanos restore_ns = util::TimeItNanos(
+                [&] { installed = fresh->Install(&ckpt_bytes[s], end, epoch); });
+            if (!installed.ok()) {
+              rep.error = installed.message();
+              return rep;
             }
+            ++rep.shards_restored;
             rep.restore_us += static_cast<util::Micros>(restore_ns / 1000);
-            auto staged = std::make_shared<std::unique_ptr<SamplingShardCore>>(std::move(fresh));
-            shard_queues[s].Submit(
-                [&, s, staged, restore_ns]() -> util::Nanos {
-                  shards_[s] = std::move(*staged);
-                  return restore_ns;
-                },
-                [] {});
-            const std::size_t tail_end = shard_log[s].size();
-            for (std::size_t j = ckpt_pos[s]; j < tail_end; ++j) {
-              const LogEntry& e = shard_log[s][j];
-              ++rep.records_to_replay;
-              if (e.ctrl) {
-                submit_delta(s, e.deltas, e.origin, true, j);
-              } else {
-                submit_updates(s, e.updates, e.origin, true, j);
-              }
-            }
+            rep.records_to_replay += end - fresh->core().applied_offset();
+            // Jobs of the dead incarnation are no-ops, so the new step can
+            // take the slot now; the queue pays for the restore first.
+            steps[s] = std::move(fresh);
+            shard_queues[s].Submit([restore_ns]() -> util::Nanos { return restore_ns; }, [] {});
+            consume(s);
             shard_queues[s].Submit([]() -> util::Nanos { return 0; },
-                                   [&, s, n32, epoch] {
-                                     shards_[s]->BumpEpoch(epoch);
-                                     if (--*pending_shards == 0) {
-                                       report.fault_recovered_at_us = env.now();
-                                       report.fault_epoch = epoch;
-                                       node_recovering[n32] = 0;
-                                       supervisor->Heartbeat(n32, env.now());
-                                       monitoring = false;  // single-fault runs
-                                     }
+                                   [&, n32, epoch] {
+                                     if (--pending_shards != 0) return;
+                                     report.fault_recovered_at_us = env.now();
+                                     report.fault_epoch = epoch;
+                                     node_recovering[n32] = 0;
+                                     supervisor->Heartbeat(n32, env.now());
+                                     monitoring = false;  // single-fault runs
                                    });
           }
           rep.ok = true;
-          (void)now;
           return rep;
         });
     for (std::uint32_t m = 0; m < M; ++m) supervisor->Register(m, 0);
 
+    // Captured by value: the events outlive this block.
     const sim::SimTime hb_period = std::max<sim::SimTime>(1, fault->detect_timeout_us / 5);
-    beat_all = [&] {
+    beat_all = [&, hb_period] {
       if (!monitoring) return;
       for (std::uint32_t m = 0; m < M; ++m) {
         if (node_dead[m] == 0 && node_recovering[m] == 0) supervisor->Heartbeat(m, env.now());
       }
       env.ScheduleAfter(hb_period, beat_all);
     };
-    tick_supervisor = [&] {
+    tick_supervisor = [&, hb_period] {
       if (!monitoring) return;
       for (const ft::RecoveryReport& r : supervisor->Tick(env.now())) {
         report.fault_detected_at_us = r.detected_at_us;
@@ -699,6 +521,7 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
   }
 
   env.Run();
+  for (std::uint32_t s = 0; s < S; ++s) shards_[s] = steps[s]->TakeCore();
   report.makespan_us = env.now();
   report.throughput_mps =
       report.makespan_us > 0
@@ -710,7 +533,6 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
     // Closing snapshot so short runs always produce at least one.
     obs->snapshots->push_back(obs->telemetry->SnapshotJson(env.now()));
   }
-  (void)applied_at_serving;
 
   const auto snapshot = run_registry.TakeSnapshot();
   report.latency_us = snapshot.LatencyTotal("pipeline.ingest_e2e");
@@ -724,7 +546,7 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
   report.diss_bytes_wire = snapshot.CounterTotal("dissemination.bytes_wire");
   report.batch_occupancy = snapshot.LatencyTotal("dissemination.batch_occupancy");
   if (fault_mode) {
-    report.fault_updates_replayed = replayed_updates;
+    report.fault_updates_replayed = snapshot.CounterTotal("ft.updates_replayed");
     report.fault_deltas_fenced = snapshot.CounterTotal("ft.deltas_fenced");
     report.fault_ctrl_fenced =
         registry_.TakeSnapshot().CounterTotal("ft.ctrl_deltas_fenced") - ctrl_fenced_before;
@@ -1115,18 +937,7 @@ IngestReport GraphDbDeployment::EmulateIngestion(const std::vector<graph::GraphU
     env.ScheduleAt(arrival, [&, start, end, arrival] {
       std::vector<std::vector<graph::GraphUpdate>> per_part(config_.nodes);
       for (std::size_t i = start; i < end; ++i) {
-        const auto& u = updates[i];
-        const graph::VertexId routing = std::visit(
-            [](const auto& x) {
-              using T = std::decay_t<decltype(x)>;
-              if constexpr (std::is_same_v<T, graph::EdgeUpdate>) {
-                return x.src;
-              } else {
-                return x.id;
-              }
-            },
-            u);
-        per_part[db_->PartitionOf(routing)].push_back(u);
+        per_part[db_->PartitionOf(RoutingVertex(updates[i]))].push_back(updates[i]);
       }
       for (std::uint32_t p = 0; p < config_.nodes; ++p) {
         if (per_part[p].empty()) continue;

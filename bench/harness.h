@@ -87,7 +87,7 @@ struct IngestReport {
   sim::SimTime fault_detected_at_us = 0;
   sim::SimTime fault_recovered_at_us = 0;  // victim re-admitted (epoch bumped)
   std::uint32_t fault_epoch = 0;           // epoch granted at re-admission
-  std::uint64_t fault_updates_replayed = 0;
+  std::uint64_t fault_updates_replayed = 0;  // log records (updates + ctrl)
   std::uint64_t fault_deltas_fenced = 0;   // serving-side re-emissions dropped
   std::uint64_t fault_ctrl_fenced = 0;     // peer-shard re-emissions dropped
   // Applied-at-serving throughput timeline (bucketed on virtual time): the
@@ -178,7 +178,9 @@ class HeliosDeployment {
   // state before serving-phase emulation.
   void IngestAll(const std::vector<graph::GraphUpdate>& updates);
 
-  // Emulated ingestion of `updates`. offered_rate_mps == 0 means
+  // Emulated ingestion of `updates` through the node engine
+  // (helios/node_engine.h) over an in-process broker, one partition per
+  // shard. offered_rate_mps == 0 means
   // saturation (everything offered at t=0; throughput = capacity). When
   // `trace` is set, every pipeline stage also lands in the Chrome-trace
   // buffer on virtual time. When `fault` is set, the run additionally

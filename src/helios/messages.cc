@@ -5,11 +5,6 @@
 namespace helios {
 
 namespace {
-// Fixed sizes of the SampleDelta record: header (kind, flags, level, vertex,
-// origin, change count) and one change (added edge, evicted, event_ts, seq).
-constexpr std::size_t kDeltaHeaderBytes = 1 + 1 + 4 + 8 + 8 + 2;
-constexpr std::size_t kDeltaChangeBytes = 20 + 8 + 8 + 8;
-
 // Record flags byte (after the kind tag). Bit 0: a TraceContext
 // (trace_id, span_id, parent_span_id as 3 u64s) follows the flags byte.
 constexpr std::uint8_t kFlagTraced = 0x01;
@@ -36,8 +31,6 @@ bool GetFlagsAndTrace(graph::ByteReader& r, ServingMessage& out) {
   }
   return r.ok();
 }
-
-std::size_t TraceWireBytes(const ServingMessage& m) { return m.trace.active() ? 24 : 0; }
 
 void PutEdges(graph::ByteWriter& w, const std::vector<graph::Edge>& edges) {
   w.PutU32(static_cast<std::uint32_t>(edges.size()));
@@ -243,23 +236,6 @@ bool DecodeCtrlRecord(const std::string& payload, SubscriptionDelta& out) {
   return GetSubscriptionDelta(r, out);
 }
 
-std::size_t WireSize(const ServingMessage& m) {
-  switch (m.kind()) {
-    case ServingMessage::Kind::kSample:
-      return 2 + TraceWireBytes(m) + 8 + 4 + 8 + 8 + 8 + 4 + m.sample().samples.size() * 20;
-    case ServingMessage::Kind::kFeature:
-      return 2 + TraceWireBytes(m) + 8 + 8 + 8 + 8 + 4 + m.feature().feature.size() * 4;
-    case ServingMessage::Kind::kRetract:
-      return 2 + TraceWireBytes(m) + 8 + 4 + 8;
-    case ServingMessage::Kind::kSampleDelta:
-      return kDeltaHeaderBytes + TraceWireBytes(m) +
-             kDeltaChangeBytes * m.delta().num_changes();
-  }
-  return 2;
-}
-
-std::size_t WireSize(const SubscriptionDelta&) { return 36; }
-
 // ------------------------------------------------------------ ServingBatch
 
 std::size_t ServingBatchBuilder::CellKeyHash::operator()(const CellKey& k) const {
@@ -281,10 +257,8 @@ void ServingBatchBuilder::Add(ServingMessage msg) {
         head.more.push_back({d.added, d.evicted, d.event_ts, msg.seq});
         for (const auto& c : d.more) head.more.push_back(c);
         coalesced_ += d.num_changes();
-        body_bytes_ += kDeltaChangeBytes * d.num_changes();
         return;
       }
-      body_bytes_ += WireSize(msg);
       pending_delta_.emplace(key, messages_.size());
       messages_.push_back(std::move(msg));
       return;
@@ -303,7 +277,6 @@ void ServingBatchBuilder::Add(ServingMessage msg) {
     case ServingMessage::Kind::kFeature:
       break;
   }
-  body_bytes_ += WireSize(msg);
   messages_.push_back(std::move(msg));
 }
 
@@ -319,21 +292,10 @@ const std::string& ServingBatchBuilder::EncodeToArena() {
   return arena_.buffer();
 }
 
-std::vector<ServingMessage> ServingBatchBuilder::TakeMessages() {
-  std::vector<ServingMessage> out = std::move(messages_);
-  messages_.clear();  // moved-from: make the reuse explicit
-  pending_delta_.clear();
-  coalesced_ = 0;
-  body_bytes_ = 0;
-  flow_id_ = 0;
-  return out;
-}
-
 void ServingBatchBuilder::Clear() {
   messages_.clear();
   pending_delta_.clear();
   coalesced_ = 0;
-  body_bytes_ = 0;
   flow_id_ = 0;
 }
 

@@ -206,11 +206,6 @@ bool IsCtrlRecord(const std::string& payload);
 // Precondition: IsCtrlRecord(payload).
 bool DecodeCtrlRecord(const std::string& payload, SubscriptionDelta& out);
 
-// Approximate wire size without encoding (used by the cluster emulator to
-// price network transfers).
-std::size_t WireSize(const ServingMessage& m);
-std::size_t WireSize(const SubscriptionDelta& d);
-
 // ------------------------------------------------------------ ServingBatch
 //
 // One coalesced flush of serving-bound messages for a single destination
@@ -252,7 +247,7 @@ class ServingBatchBuilder {
   std::uint32_t epoch() const { return epoch_; }
 
   // Sets the flow binding id encoded into the frame header. Per-flush (not
-  // sticky): Clear()/TakeMessages() reset it to 0 (untraced).
+  // sticky): Clear() resets it to 0 (untraced).
   void StampFlow(std::uint64_t flow_id) { flow_id_ = flow_id; }
   std::uint64_t flow_id() const { return flow_id_; }
 
@@ -262,18 +257,10 @@ class ServingBatchBuilder {
   const std::vector<ServingMessage>& messages() const { return messages_; }
   // Deltas folded into an earlier message since the last Clear().
   std::uint64_t coalesced() const { return coalesced_; }
-  // Exact encoded size of the pending frame, incl. batch framing — kept
-  // incrementally so DES byte pricing never has to encode.
-  std::size_t WireBytes() const { return kServingBatchHeaderBytes + body_bytes_; }
 
   // Encodes the pending messages as one ServingBatch frame into the
   // builder's arena. The reference is valid until the next Add/Clear.
   const std::string& EncodeToArena();
-
-  // Moves the pending messages out (for in-process delivery that skips the
-  // byte codec) and resets the builder like Clear(). Read coalesced()/
-  // WireBytes() before calling.
-  std::vector<ServingMessage> TakeMessages();
 
   // Drops pending state but keeps capacity.
   void Clear();
@@ -293,7 +280,6 @@ class ServingBatchBuilder {
   std::unordered_map<CellKey, std::size_t, CellKeyHash> pending_delta_;
   graph::ByteWriter arena_;
   std::uint64_t coalesced_ = 0;
-  std::size_t body_bytes_ = 0;
   std::uint32_t src_shard_ = 0;
   std::uint32_t epoch_ = 0;
   std::uint64_t flow_id_ = 0;

@@ -1025,12 +1025,4 @@ std::map<std::string, std::string> ServingCore::DumpCache() const {
   return out;
 }
 
-// --------------------------------------------------- fenced apply (ft.*)
-
-std::uint64_t ApplyFenced(ServingCore& core, ft::EpochFence& fence, std::uint64_t src,
-                          const ft::EpochFence::FrameToken& token, const ServingMessage& m) {
-  return FenceInto(fence, src, token, m,
-                   [&core](const ServingMessage& admitted) { core.Apply(admitted); });
-}
-
 }  // namespace helios

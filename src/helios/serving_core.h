@@ -515,26 +515,19 @@ class ServingCore {
 
 // ---- fault-tolerance admission (docs/FAULT_TOLERANCE.md)
 //
-// Applies one message of a frame already opened with
+// Admits one message of a frame already opened with
 // `fence.BeginFrame(src, epoch)`: messages (or, for coalesced SampleDeltas,
 // individual changes) whose seq the fence has already seen are dropped —
 // they are a replaying shard's re-emission of deliveries that landed before
 // the crash. A delta straddling the watermark is trimmed so only the
-// not-yet-applied changes splice in. Unstamped messages (seq 0) always
-// apply. Returns the number of changes fenced (0 in steady state).
+// not-yet-applied changes reach `sink(const ServingMessage&)`, at most once.
+// Unstamped messages (seq 0) always pass. Returns the number of changes
+// fenced (0 in steady state). FrameApplier (node_engine.h) wraps this for
+// both runtimes.
 //
 // The caller owns the fence and keys it by source shard; it must be the
 // same single thread (or hold the same lock) for every frame of that
-// destination worker, which both runtimes guarantee by construction.
-std::uint64_t ApplyFenced(ServingCore& core, ft::EpochFence& fence, std::uint64_t src,
-                          const ft::EpochFence::FrameToken& token, const ServingMessage& m);
-
-// The admission logic of ApplyFenced with the destination abstracted away:
-// `sink(const ServingMessage&)` receives the admitted (possibly trimmed)
-// message — at most once — instead of it being applied to a core. Used by
-// drivers that fence at delivery time but price the apply elsewhere (the DES
-// emulator fences when a frame lands, then charges the apply to the serving
-// node's virtual CPU). Same return value and fence-advance semantics.
+// destination worker.
 template <typename Sink>
 std::uint64_t FenceInto(ft::EpochFence& fence, std::uint64_t src,
                         const ft::EpochFence::FrameToken& token, const ServingMessage& m,

@@ -4,10 +4,10 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
-#include <fstream>
+#include <optional>
 #include <thread>
 
-#include "graph/update_codec.h"
+#include "helios/node_engine.h"
 #include "store/segment_store.h"
 #include "util/logging.h"
 
@@ -70,153 +70,6 @@ util::Status ReadShardCheckpoint(const store::SegmentStore& st, std::uint32_t sh
 }
 }  // namespace
 
-// One logical shard: owns a SamplingShardCore; all access is serialized by
-// the actor mailbox. Outputs are routed here: data plane to the publisher
-// of this shard's worker, control plane directly to peer shard actors.
-class ThreadedCluster::ShardActor : public actor::Actor {
- public:
-  // `owner` is the hosting node under the current sampling assignment — the
-  // static layout's worker at construction, the migration destination after
-  // a handoff (the core itself is placement-agnostic; only dispatch routing
-  // and trace labels care).
-  ShardActor(ThreadedCluster* cluster, std::uint32_t shard_id, std::uint32_t owner)
-      : cluster_(cluster),
-        core_(cluster->plan_, cluster->options_.map, shard_id,
-              cluster->options_.seed,
-              SamplingShardCore::Options{cluster->options_.ttl, &cluster->registry_}),
-        worker_id_(owner),
-        tracer_(&cluster->registry_, &cluster->wall_clock_, cluster->options_.trace,
-                obs::Labels{{"shard", std::to_string(shard_id)},
-                            {"worker", std::to_string(worker_id_)}}) {}
-
-  void IngestBatch(std::vector<mq::Record> records) {
-    Tell([this, records = std::move(records)] {
-      SamplingShardCore::Outputs& out = out_;
-      graph::GraphUpdate update;
-      SubscriptionDelta delta;
-      const std::int64_t dequeue_us = tracer_.Now();
-      for (const auto& r : records) {
-        // Queue-wait stage: broker append -> shard core dequeue.
-        if (dequeue_us > r.append_time) {
-          tracer_.RecordDuration(obs::Stage::kIngest,
-                                 static_cast<std::uint64_t>(dequeue_us - r.append_time));
-        }
-        // One totally-ordered log per shard: data updates and control
-        // deltas interleave at their append positions, so replaying the
-        // log reproduces the exact processing order.
-        if (IsCtrlRecord(r.value)) {
-          if (!DecodeCtrlRecord(r.value, delta)) {
-            HLOG(kWarn, "shard") << "undecodable ctrl record at offset " << r.offset;
-          } else {
-            cluster_->flow_.ctrl_processed->Add(1);
-            if (core_.AdmitCtrl(delta)) {
-              obs::ScopedStage span(tracer_, obs::Stage::kCascade, worker_id_, core_.shard_id());
-              core_.OnSubscriptionDelta(delta, 0, out);
-            }
-          }
-        } else if (graph::DecodeUpdate(r.value, update)) {
-          if (cluster_->options_.trace != nullptr) {
-            // Mint the update's causal context here — the single point every
-            // data update enters its shard — and open its flow on this
-            // sampling lane. The serving-side apply closes it (same
-            // name/category/id), which is what stitches the timeline across
-            // lanes in Perfetto.
-            const obs::TraceContext trace = cluster_->trace_ids_.Root();
-            cluster_->options_.trace->AddFlowStart("update", "causal", tracer_.Now(), worker_id_,
-                                                   core_.shard_id(), trace.trace_id);
-            core_.OnGraphUpdate(update, r.append_time, out, trace);
-          } else {
-            core_.OnGraphUpdate(update, r.append_time, out);
-          }
-          cluster_->flow_.updates_processed->Add(1);
-        } else {
-          HLOG(kWarn, "shard") << "undecodable update at offset " << r.offset;
-        }
-        core_.set_applied_offset(r.offset + 1);
-        if (pending_readmit_ && r.offset < readmit_target_) ++replayed_;
-      }
-      tracer_.RecordSpan(obs::Stage::kSample, dequeue_us, tracer_.Now() - dequeue_us, worker_id_,
-                         core_.shard_id());
-      Dispatch(out);
-      // Re-admission must happen on a frame boundary: a ServingBatch frame
-      // is stamped with ONE epoch at dispatch, so bumping mid-batch would
-      // label replayed old-epoch seqs with the fresh epoch — the serving
-      // fence would admit the duplicates AND its new-epoch watermark would
-      // then fence the genuinely new seq 1, 2, ... that follow.
-      if (pending_readmit_ && core_.applied_offset() >= readmit_target_) FinishReplay();
-      // Published after Dispatch so control appends spawned by this batch
-      // are already visible in their destination partitions when the idle
-      // detector sees this shard caught up.
-      cluster_->shard_applied_[core_.shard_id()].store(core_.applied_offset(),
-                                                       std::memory_order_release);
-    });
-  }
-
-  // Arms log replay after a restore. Only called while the node's poller is
-  // down (the actor receives no traffic), so direct member access is safe.
-  // Re-emissions stay stamped with the restored (pre-crash) epoch until the
-  // shard crosses `target`; then BumpEpoch(epoch) re-admits it with fresh
-  // sequence numbering.
-  void BeginReplay(std::uint64_t target, std::uint32_t epoch, std::int64_t now_us) {
-    readmit_target_ = target;
-    granted_epoch_ = epoch;
-    replay_started_us_ = now_us;
-    replayed_ = 0;
-    pending_readmit_ = true;
-    if (core_.applied_offset() >= readmit_target_) FinishReplay();
-  }
-
-  void Prune(graph::Timestamp cutoff) {
-    Tell([this, cutoff] {
-      core_.Prune(cutoff, out_);
-      Dispatch(out_);
-    });
-  }
-
-  // Runs fn with exclusive access to the core (blocking the caller).
-  template <typename F>
-  void WithCore(F&& fn) {
-    std::promise<void> done;
-    if (!Tell([&] {
-          fn(core_);
-          done.set_value();
-        })) {
-      // System shutting down: the core is quiescent, access it directly.
-      fn(core_);
-      return;
-    }
-    done.get_future().wait();
-  }
-
- private:
-  void Dispatch(SamplingShardCore::Outputs& out);
-
-  void FinishReplay() {
-    core_.BumpEpoch(granted_epoch_);
-    pending_readmit_ = false;
-    cluster_->ft_.updates_replayed->Add(replayed_);
-    cluster_->ft_.time_to_replay_us->Record(
-        static_cast<std::uint64_t>(std::max<std::int64_t>(0, tracer_.Now() - replay_started_us_)));
-    HLOG(kInfo, "ft") << "shard " << core_.shard_id() << " replayed " << replayed_
-                      << " records, re-admitted at epoch " << granted_epoch_;
-  }
-
-  ThreadedCluster* cluster_;
-  SamplingShardCore core_;
-  std::uint32_t worker_id_;
-  obs::StageTracer tracer_;
-  // Long-lived output sink (mailbox-serialized): batch builders and the
-  // encode arena keep their allocations across dispatch windows, so the
-  // steady state does no per-message heap work.
-  SamplingShardCore::Outputs out_;
-  // Replay bookkeeping (mailbox-serialized; armed by BeginReplay).
-  bool pending_readmit_ = false;
-  std::uint64_t readmit_target_ = 0;
-  std::uint32_t granted_epoch_ = 0;
-  std::int64_t replay_started_us_ = 0;
-  std::uint64_t replayed_ = 0;
-};
-
 // Publisher actor (§4.2 publisher threads): appends pre-encoded ServingBatch
 // frames to the serving workers' sample queues — one queue record per batch,
 // so the per-message publish cost collapses into the batch flush.
@@ -257,64 +110,88 @@ class ThreadedCluster::PublisherActor : public actor::Actor {
   ThreadedCluster* cluster_;
 };
 
-void ThreadedCluster::ShardActor::Dispatch(SamplingShardCore::Outputs& out) {
-  if (!out.to_serving.empty()) {
-    // Encode one frame per destination on the shard thread (the arena is
-    // per-builder, so this does not contend), then hand the frames to the
-    // worker's publisher.
-    std::vector<PublisherActor::EncodedBatch> batches;
-    batches.reserve(out.to_serving.active().size());
-    for (const std::uint32_t sew : out.to_serving.active()) {
-      ServingBatchBuilder& b = out.to_serving.builder(sew);
-      if (b.empty()) continue;
-      // Frame provenance for the serving-side epoch fence: which shard
-      // emitted this frame, under which incarnation.
-      b.Stamp(core_.shard_id(), core_.epoch());
-      if (cluster_->options_.trace != nullptr) {
-        // Frame-level flow: opened here on the sampler lane, closed by the
-        // serving updater when it decodes this frame (the flow id rides the
-        // frame header).
-        const std::uint64_t flow = cluster_->trace_ids_.Next();
-        b.StampFlow(flow);
-        cluster_->options_.trace->AddFlowStart("batch", "dissemination", tracer_.Now(),
-                                               worker_id_, core_.shard_id(), flow);
-      }
-      PublisherActor::EncodedBatch eb;
-      eb.sew = sew;
-      eb.messages = static_cast<std::uint32_t>(b.size());
-      eb.bytes = b.EncodeToArena();
-      if (!pending_readmit_) {
-        // Replay window: re-emissions of already-counted work. Suppressing
-        // the dissemination.* adds here keeps a faulty run's counters equal
-        // to an uninterrupted golden run's (fig20 asserts this); the flow_.*
-        // counters are NOT suppressed — the idle detector pairs every
-        // published message with an applied one, replayed or not.
-        cluster_->diss_.batches->Add(1);
-        cluster_->diss_.messages->Add(b.size());
-        cluster_->diss_.coalesced->Add(b.coalesced());
-        cluster_->diss_.bytes_wire->Add(eb.bytes.size());
-        cluster_->diss_.batch_occupancy->Record(b.size());
-      }
-      batches.push_back(std::move(eb));
-    }
-    if (!batches.empty()) {
-      cluster_->publishers_[worker_id_]->Publish(std::move(batches));
-    }
+// One logical shard: a mailbox over the shard's engine step (all access is
+// serialized by the actor). Frames go to the publisher of the hosting node,
+// control deltas to the destination shard's updates partition.
+class ThreadedCluster::ShardActor : public actor::Actor, private ShardStep::Sink {
+ public:
+  // `owner` is the hosting node under the current sampling assignment — the
+  // static layout's worker at construction, the migration destination after
+  // a handoff (the core itself is placement-agnostic; only dispatch routing
+  // and trace labels care).
+  ShardActor(ThreadedCluster* cluster, std::uint32_t shard_id, std::uint32_t owner)
+      : cluster_(cluster),
+        worker_id_(owner),
+        step_(std::make_unique<SamplingShardCore>(
+                  cluster->plan_, cluster->options_.map, shard_id, cluster->options_.seed,
+                  SamplingShardCore::Options{cluster->options_.ttl, &cluster->registry_}),
+              ShardStep::Wiring{&cluster->registry_, &cluster->wall_clock_,
+                                cluster->options_.trace, &cluster->trace_ids_, owner,
+                                &cluster->ledgers_[shard_id]}) {}
+
+  void IngestBatch(std::vector<mq::Record> records) {
+    Tell([this, records = std::move(records)] {
+      step_.Consume(records, *this);
+      Publish();
+      // Published after the flush so control appends spawned by this batch
+      // are already visible in their destination partitions when the idle
+      // detector sees this shard caught up.
+      cluster_->shard_applied_[step_.core().shard_id()].store(step_.core().applied_offset(),
+                                                              std::memory_order_release);
+    });
   }
-  if (!out.to_shards.empty()) {
-    // Control plane rides the destination shard's updates partition as a
-    // tagged record: one totally-ordered log per shard (deterministic
-    // replay), and a delta bound for a dead shard survives in the broker
-    // until the shard comes back.
-    mq::Producer producer(*cluster_->broker_);
-    for (auto& [shard, delta] : out.to_shards) {
-      cluster_->flow_.ctrl_sent->Add(1);
-      producer.Send(kUpdatesTopic, std::string(), EncodeCtrlRecord(delta),
-                    static_cast<int>(shard));
-    }
+
+  void Prune(graph::Timestamp cutoff) {
+    Tell([this, cutoff] {
+      step_.Prune(cutoff, *this);
+      Publish();
+    });
   }
-  out.Clear();
-}
+
+  // Direct step access for an actor that is not attached yet (install).
+  ShardStep& step() { return step_; }
+
+  // Runs fn with exclusive access to the step (blocking the caller).
+  template <typename F>
+  void WithStep(F&& fn) {
+    std::promise<void> done;
+    if (!Tell([&] {
+          fn(step_);
+          done.set_value();
+        })) {
+      // System shutting down: the step is quiescent, access it directly.
+      fn(step_);
+      return;
+    }
+    done.get_future().wait();
+  }
+
+ private:
+  // Frames are encoded on the shard thread (the arena is per-builder, so
+  // this does not contend), then handed to the node's publisher in one batch.
+  void Frame(std::uint32_t sew, const std::string& frame, std::uint32_t messages) override {
+    batches_.push_back({sew, messages, frame});
+  }
+  // Control plane rides the destination shard's updates partition as a
+  // tagged record: one totally-ordered log per shard (deterministic replay),
+  // and a delta bound for a dead shard survives in the broker until it
+  // comes back.
+  void Ctrl(std::uint32_t shard, const SubscriptionDelta& delta) override {
+    cluster_->flow_.ctrl_sent->Add(1);
+    mq::Producer(*cluster_->broker_)
+        .Send(kUpdatesTopic, std::string(), EncodeCtrlRecord(delta), static_cast<int>(shard));
+  }
+  void Publish() {
+    if (batches_.empty()) return;
+    cluster_->publishers_[worker_id_]->Publish(std::move(batches_));
+    batches_.clear();
+  }
+
+  ThreadedCluster* cluster_;
+  std::uint32_t worker_id_;
+  ShardStep step_;
+  std::vector<PublisherActor::EncodedBatch> batches_;  // frames of one mailbox slice
+};
 
 // Polling actor of one sampling worker (§4.2 polling threads): drains the
 // worker's update partitions and hands record batches to shard actors. The
@@ -390,65 +267,37 @@ class ThreadedCluster::SamplingPollActor : public actor::Actor {
   std::unique_ptr<mq::Consumer> consumer_;
 };
 
-// Data-updating actor of one serving worker (§4.3): applies sample/feature
-// updates to the cache in queue order.
+// Data-updating actor of one serving worker (§4.3): a mailbox over the
+// worker's FrameApplier, applying sample/feature updates to the cache in
+// queue order. One thread applies every frame of this worker, so the
+// applier's fence admission per source shard is race-free by construction.
 class ThreadedCluster::ServingUpdateActor : public actor::Actor {
  public:
   ServingUpdateActor(ThreadedCluster* cluster, std::uint32_t worker_id)
-      : cluster_(cluster), worker_id_(worker_id) {}
+      : cluster_(cluster),
+        worker_id_(worker_id),
+        applier_(&cluster->registry_, cluster->serving_tracers_[worker_id].get(),
+                 kServingPidBase + worker_id) {}
 
   void ApplyBatch(std::vector<mq::Record> records) {
     Tell([this, records = std::move(records)] {
       ServingCore& core = *cluster_->serving_cores_[worker_id_];
       obs::StageTracer& tracer = *cluster_->serving_tracers_[worker_id_];
-      obs::TraceBuffer* trace = cluster_->options_.trace;
-      ServingMessage msg;
       const std::int64_t start_us = tracer.Now();
-      // Dedups consecutive per-update flow ends: messages of one update
-      // arrive adjacent within a frame, so one end per run is enough.
-      std::uint64_t last_update_flow = 0;
       for (const auto& r : records) {
-        // Each record is one ServingBatch frame; decode and apply its
-        // messages in order, fencing a recovering shard's re-emissions
-        // (docs/FAULT_TOLERANCE.md). The fence lives on this actor: one
-        // thread applies every frame of this worker, so admission per
-        // source shard is race-free by construction.
-        ServingBatchReader reader(r.value);
-        const std::uint64_t src = reader.src_shard();
-        // Frame provenance feeds the freshness tracker (visibility is
-        // labelled by source sampling shard).
-        core.SetApplySource(static_cast<std::uint32_t>(src));
-        if (trace != nullptr && reader.flow_id() != 0) {
-          trace->AddFlowEnd("batch", "dissemination", start_us, kServingPidBase + worker_id_, 0,
-                            reader.flow_id());
-        }
-        const ft::EpochFence::FrameToken token = fence_.BeginFrame(src, reader.epoch());
-        std::uint64_t fenced = 0;
-        while (reader.Next(msg)) {
-          if (token.stale) {
-            // Whole frame predates the sender's current epoch (published by
-            // the dead incarnation, drained after re-admission): drop it.
-            fenced += msg.kind() == ServingMessage::Kind::kSampleDelta
-                          ? msg.delta().num_changes()
-                          : 1;
-          } else {
-            fenced += ApplyFenced(core, fence_, src, token, msg);
-            // origin == 0 means unstamped under wall time (e.g. prune-
-            // spawned messages); only measure stamped updates.
-            if (msg.OriginMicros() > 0) tracer.RecordEndToEnd(msg.OriginMicros(), start_us);
-            if (trace != nullptr && msg.trace.active() &&
-                msg.trace.trace_id != last_update_flow) {
-              last_update_flow = msg.trace.trace_id;
-              trace->AddFlowEnd("update", "causal", tracer.Now(), kServingPidBase + worker_id_,
-                                0, msg.trace.trace_id);
-            }
-          }
-          // Fenced messages still count: the publisher counted them, and
-          // the idle detector pairs published with applied.
-          cluster_->flow_.serving_applied->Add(1);
-        }
-        if (fenced > 0) cluster_->ft_.deltas_fenced->Add(fenced);
-        if (!reader.ok()) {
+        const FrameApplier::Delivery d =
+            applier_.Deliver(r.value, [&](std::uint32_t src, const ServingMessage& msg) {
+              // Frame provenance labels the freshness histograms.
+              core.SetApplySource(src);
+              core.Apply(msg);
+              // origin <= 0 means unstamped under wall time (prune- and
+              // control-spawned messages); only measure stamped updates.
+              if (msg.OriginMicros() > 0) tracer.RecordEndToEnd(msg.OriginMicros(), start_us);
+            });
+        // Fenced messages still count: the publisher counted them, and the
+        // idle detector pairs published with applied.
+        cluster_->flow_.serving_applied->Add(d.messages);
+        if (!d.ok) {
           HLOG(kWarn, "serving") << "malformed serving batch at offset " << r.offset;
         }
       }
@@ -461,7 +310,7 @@ class ThreadedCluster::ServingUpdateActor : public actor::Actor {
  private:
   ThreadedCluster* cluster_;
   std::uint32_t worker_id_;
-  ft::EpochFence fence_;  // keyed by source shard; actor-thread confined
+  FrameApplier applier_;
 };
 
 // Polling actor of one serving worker (§4.3): drains the sample queue.
@@ -512,14 +361,6 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
   flow_.ctrl_sent = registry_.GetCounter("cluster.ctrl_sent");
   flow_.ctrl_processed = registry_.GetCounter("cluster.ctrl_processed");
   flow_.queries_served = registry_.GetCounter("cluster.queries_served");
-  diss_.batches = registry_.GetCounter("dissemination.batches");
-  diss_.messages = registry_.GetCounter("dissemination.messages");
-  diss_.coalesced = registry_.GetCounter("dissemination.coalesced_msgs");
-  diss_.bytes_wire = registry_.GetCounter("dissemination.bytes_wire");
-  diss_.batch_occupancy = registry_.GetLatency("dissemination.batch_occupancy");
-  ft_.updates_replayed = registry_.GetCounter("ft.updates_replayed");
-  ft_.deltas_fenced = registry_.GetCounter("ft.deltas_fenced");
-  ft_.time_to_replay_us = registry_.GetLatency("ft.time_to_replay_us");
   broker_ = std::make_unique<mq::Broker>();
   if (!options_.durable_log_dir.empty()) {
     std::error_code ec;
@@ -555,6 +396,7 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
 
   node_dead_ = std::make_unique<std::atomic<bool>[]>(options_.map.sampling_workers);
   shard_applied_ = std::make_unique<std::atomic<std::uint64_t>[]>(options_.map.TotalShards());
+  ledgers_ = std::make_unique<ShardLedger[]>(options_.map.TotalShards());
   for (std::uint32_t w = 0; w < options_.map.sampling_workers; ++w) node_dead_[w] = false;
   for (std::uint32_t s = 0; s < options_.map.TotalShards(); ++s) shard_applied_[s] = 0;
   node_epochs_.assign(options_.map.sampling_workers, 1);
@@ -587,9 +429,9 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
   if (options_.supervision_timeout > 0) {
     supervisor_ = std::make_unique<ft::Supervisor>(
         ft::Supervisor::Options{options_.supervision_timeout}, &registry_,
-        [this](std::uint64_t node, std::uint32_t epoch, util::Micros now) {
+        [this](std::uint64_t node, std::uint32_t epoch, util::Micros) {
           std::lock_guard<std::mutex> lock(fault_mutex_);
-          return RecoverNode(static_cast<std::uint32_t>(node), epoch, now);
+          return RecoverNode(static_cast<std::uint32_t>(node), epoch);
         });
     for (std::uint32_t w = 0; w < options_.map.sampling_workers; ++w) {
       supervisor_->Register(w, util::NowMicros());
@@ -901,7 +743,7 @@ void ThreadedCluster::PruneTTL(graph::Timestamp cutoff) {
   // prune itself ran; WaitForIngestIdle then drains whatever it emitted.
   // (ActorSystem::Quiesce cannot be used here — the polling actors
   // perpetually reschedule themselves, so the system is never "idle".)
-  for (auto& shard : live) shard->WithCore([](SamplingShardCore&) {});
+  for (auto& shard : live) shard->WithStep([](ShardStep&) {});
   WaitForIngestIdle();
   for (auto& core : serving_cores_) core->EvictOlderThan(cutoff);
 }
@@ -923,9 +765,8 @@ util::Status ThreadedCluster::Checkpoint(const std::string& dir) {
       shard = shards_[s];
     }
     graph::ByteWriter w;
-    shard->WithCore([&w](SamplingShardCore& core) { core.Serialize(w); });
-    auto status =
-        WriteShardCheckpoint(st, s, std::string_view(w.buffer().data(), w.buffer().size()));
+    shard->WithStep([&w](ShardStep& step) { step.core().Serialize(w); });
+    auto status = WriteShardCheckpoint(st, s, w.buffer());
     if (!status.ok()) return status;
   }
   // One commit flips every shard's last-complete pointer together.
@@ -950,12 +791,15 @@ util::Status ThreadedCluster::Restore(const std::string& dir) {
       return util::Status::NotFound("missing checkpoint for shard " + std::to_string(s) + ": " +
                                     read.message());
     }
-    bool ok = true;
-    shards_[s]->WithCore([&bytes, &ok](SamplingShardCore& core) {
-      graph::ByteReader r(bytes);
-      ok = SamplingShardCore::Deserialize(r, core);
+    std::lock_guard<std::mutex> lock(fault_mutex_);
+    util::Status installed;
+    shards_[s]->WithStep([&](ShardStep& step) {
+      // Nothing to replay: the restored shard re-enters as a new incarnation,
+      // above this cluster's grants and the checkpoint's own epoch alike.
+      installed = step.Install(&bytes, 0, NextShardEpochLocked(s, 0));
+      shard_epochs_[s] = step.core().epoch();
     });
-    if (!ok) return util::Status::Internal("corrupt checkpoint for shard " + std::to_string(s));
+    if (!installed.ok()) return installed;
   }
   // Restored state may predate whatever the caches were built from.
   for (auto& core : serving_cores_) core->FlushAggregateCache();
@@ -978,6 +822,10 @@ bool ThreadedCluster::KillNodeLocked(std::uint32_t node) {
   // node is still running when we return. Mailbox contents are dropped —
   // a crash loses in-flight work by design; recovery replays it from the
   // broker log, which is exactly what the single-log design makes safe.
+  // The poller runs on the shared poll pool, which is never joined: wait
+  // out its in-flight slice, or that slice could commit offsets past the
+  // recovery's rewind, or deliver records to the replacement shard actors.
+  sampling_pollers_[node]->StopAndJoin();
   sampling_pollers_[node]->Kill();
   std::size_t dropped = 0;
   for (const std::uint32_t s : sampling_assignment_.ShardsOf(node)) {
@@ -1001,7 +849,7 @@ bool ThreadedCluster::RestartNode(std::uint32_t node) {
   if (node >= options_.map.sampling_workers) return false;
   if (!node_dead_[node].load(std::memory_order_acquire)) return false;
   if (node_drained_[node] != 0) return false;  // retired, not crashed: ReviveNode
-  return RecoverNode(node, NextEpochFor(node), util::NowMicros()).ok;
+  return RecoverNode(node, NextEpochFor(node)).ok;
 }
 
 // The recovery sequence (§4.1 / docs/FAULT_TOLERANCE.md): fresh actors and
@@ -1009,8 +857,7 @@ bool ThreadedCluster::RestartNode(std::uint32_t node) {
 // rewound to each shard's restored offset, log tail replayed under the old
 // epoch (receivers fence the re-emissions), node re-admitted under `epoch`.
 // Caller holds fault_mutex_.
-ft::RecoveryReport ThreadedCluster::RecoverNode(std::uint32_t node, std::uint32_t epoch,
-                                                util::Micros now) {
+ft::RecoveryReport ThreadedCluster::RecoverNode(std::uint32_t node, std::uint32_t epoch) {
   ft::RecoveryReport report;
   report.node = node;
   report.epoch = epoch;
@@ -1023,81 +870,53 @@ ft::RecoveryReport ThreadedCluster::RecoverNode(std::uint32_t node, std::uint32_
   if (!node_dead_[node].load(std::memory_order_acquire)) KillNodeLocked(node);
 
   const util::Micros restore_start = util::NowMicros();
+  auto fail = [&](std::string error) {
+    report.error = std::move(error);
+    report.restore_us = util::NowMicros() - restore_start;
+    HLOG(kError, "ft") << "recovery of sampling node " << node << " failed: " << report.error;
+    return report;
+  };
   // The node's shard set under the *current* placement, not the static
   // layout — a migrated-in shard recovers here, a migrated-away one with
   // its new owner.
   const std::vector<std::uint32_t> owned = sampling_assignment_.ShardsOf(node);
-  system_->AddPool("sampling-" + std::to_string(node), options_.map.shards_per_worker);
-  system_->AddPool("publish-" + std::to_string(node), 1);
-
   // Recovery reads through the same store Checkpoint() writes: the named
   // pointer only ever references a fully committed round, so a crash during
-  // a checkpoint leaves the previous complete one here.
-  std::unique_ptr<store::SegmentStore> ckpt_store;
+  // a checkpoint leaves the previous complete one here. A shard that never
+  // completed a checkpoint replays its whole log; one whose checkpoint
+  // cannot be read fails the recovery instead of silently replaying from 0.
+  std::vector<std::optional<std::string>> checkpoints(owned.size());
   if (!last_checkpoint_dir_.empty()) {
     auto opened =
         store::SegmentStore::Open(CheckpointStoreOptions(last_checkpoint_dir_), /*create=*/false);
-    if (opened.ok()) ckpt_store = std::move(opened.value());
-  }
-  mq::Topic* updates = broker_->GetTopic(kUpdatesTopic);
-  for (const std::uint32_t s : owned) {
-    // Drop the dead incarnation and its state; build the replacement.
-    system_->Detach(shards_[s]);
-    auto shard = std::make_shared<ShardActor>(this, s, node);
-    if (ckpt_store != nullptr) {
+    for (std::size_t i = 0; i < owned.size(); ++i) {
       std::string bytes;
-      if (ReadShardCheckpoint(*ckpt_store, s, bytes).ok()) {
-        graph::ByteReader r(bytes);
-        bool ok = false;
-        // The actor is not attached yet: direct core access is safe.
-        shard->WithCore([&r, &ok](SamplingShardCore& core) {
-          ok = SamplingShardCore::Deserialize(r, core);
-        });
-        if (!ok) {
-          report.error = "corrupt checkpoint for shard " + std::to_string(s);
-          ft::RecoveryReport failed = report;
-          failed.restore_us = util::NowMicros() - restore_start;
-          return failed;
-        }
-        ++report.shards_restored;
+      const util::Status read =
+          opened.ok() ? ReadShardCheckpoint(*opened.value(), owned[i], bytes) : opened.status();
+      if (read.ok()) {
+        checkpoints[i] = std::move(bytes);
+      } else if (!opened.ok() || read.code() != util::StatusCode::kNotFound) {
+        return fail("checkpoint for shard " + std::to_string(owned[i]) + ": " + read.message());
       }
     }
-    std::uint64_t applied = 0;
-    shard->WithCore([&applied](SamplingShardCore& core) { applied = core.applied_offset(); });
-    // Rewind the consumer group to the restored offset — broker commits can
-    // run ahead of the checkpoint — and arm replay up to the current end of
-    // the partition; everything in between is re-processed and its
-    // re-emissions are fenced at the receivers.
-    broker_->ReplayFrom("sampling", kUpdatesTopic, s, applied);
-    const std::uint64_t end = updates->partition(s).end_offset();
-    report.records_to_replay += end > applied ? end - applied : 0;
+  }
+  RestartPoolsLocked(node);
+  for (std::size_t i = 0; i < owned.size(); ++i) {
     // The serving fences are keyed by source shard, so a shard that
     // migrated here earlier may already have entered service under an epoch
     // above this node's grant; re-admit strictly above both.
-    shard->BeginReplay(end, NextShardEpochLocked(s, epoch), static_cast<std::int64_t>(now));
-    shard_applied_[s].store(applied, std::memory_order_release);
-    system_->Attach(shard, "sampling-" + std::to_string(node));
-    shards_[s] = std::move(shard);
+    auto replay = InstallShardLocked(owned[i], node,
+                                     checkpoints[i] ? &*checkpoints[i] : nullptr,
+                                     NextShardEpochLocked(owned[i], epoch));
+    if (!replay.ok()) return fail(replay.status().message());
+    report.shards_restored += checkpoints[i] ? 1 : 0;
+    report.records_to_replay += replay.value();
   }
-
-  system_->Detach(publishers_[node]);
-  auto publisher = std::make_shared<PublisherActor>(this);
-  system_->Attach(publisher, "publish-" + std::to_string(node));
-  retired_actors_.push_back(publishers_[node]);
-  publishers_[node] = std::move(publisher);
-
-  // Fresh poller: its consumer reads the rewound committed offsets. The old
-  // incarnation ran on the shared "poll" pool (never stopped), so it parks
-  // in the graveyard rather than being destroyed under a live slice.
-  system_->Detach(sampling_pollers_[node]);
-  auto poller = std::make_shared<SamplingPollActor>(this, node, owned);
-  system_->Attach(poller, "poll");
-  retired_actors_.push_back(sampling_pollers_[node]);
-  sampling_pollers_[node] = std::move(poller);
 
   report.restore_us = util::NowMicros() - restore_start;
   node_dead_[node].store(false, std::memory_order_release);
-  if (running_.load(std::memory_order_acquire)) sampling_pollers_[node]->Loop();
+  // Fresh poller: its consumer reads the rewound committed offsets.
+  RebuildPollerLocked(node);
   // Replay re-applies deltas the caches may have served around; cold-start
   // every aggregate cache (and admission hot-seed table) so nothing stale
   // survives recovery.
@@ -1119,6 +938,47 @@ std::uint32_t ThreadedCluster::NextShardEpochLocked(std::uint32_t s, std::uint32
   const std::uint32_t eff = std::max(node_grant, shard_epochs_[s] + 1);
   shard_epochs_[s] = eff;
   return eff;
+}
+
+util::StatusOr<std::uint64_t> ThreadedCluster::InstallShardLocked(std::uint32_t s,
+                                                                 std::uint32_t node,
+                                                                 const std::string* checkpoint,
+                                                                 std::uint32_t epoch) {
+  auto fresh = std::make_shared<ShardActor>(this, s, node);
+  // Everything up to the partition's current end replays under the
+  // restored epoch; its re-emissions fence at the receivers.
+  const std::uint64_t end = broker_->GetTopic(kUpdatesTopic)->partition(s).end_offset();
+  // Not attached yet: direct step access is safe.
+  const util::Status installed = fresh->step().Install(checkpoint, end, epoch);
+  if (!installed.ok()) return installed;
+  const std::uint64_t applied = fresh->step().core().applied_offset();
+  // Rewind the consumer group to the restored offset: broker commits can
+  // run ahead of the checkpoint.
+  broker_->ReplayFrom("sampling", kUpdatesTopic, s, applied);
+  shard_applied_[s].store(applied, std::memory_order_release);
+  // Retire the old incarnation; kill before detach so no stray Tell lands
+  // between the two. A live owner's pool keeps running (migration), so a
+  // queued drain slice may still touch the actor: park it until Stop(). A
+  // dead owner's pool is already joined, so the actor can go now.
+  std::shared_ptr<ShardActor> old = std::move(shards_[s]);
+  old->Kill();
+  system_->Detach(old);
+  if (!node_dead_[sampling_assignment_.OwnerOf(s)].load(std::memory_order_acquire)) {
+    retired_actors_.push_back(std::move(old));
+  }
+  system_->Attach(fresh, "sampling-" + std::to_string(node));
+  shards_[s] = std::move(fresh);
+  return end > applied ? end - applied : 0;
+}
+
+void ThreadedCluster::RestartPoolsLocked(std::uint32_t node) {
+  system_->AddPool("sampling-" + std::to_string(node), options_.map.shards_per_worker);
+  system_->AddPool("publish-" + std::to_string(node), 1);
+  system_->Detach(publishers_[node]);
+  auto publisher = std::make_shared<PublisherActor>(this);
+  system_->Attach(publisher, "publish-" + std::to_string(node));
+  retired_actors_.push_back(publishers_[node]);
+  publishers_[node] = std::move(publisher);
 }
 
 void ThreadedCluster::RebuildPollerLocked(std::uint32_t node) {
@@ -1172,70 +1032,52 @@ bool ThreadedCluster::MigrateShard(std::uint32_t shard, std::uint32_t dst,
     return false;
   }
 
-  // Checkpoint at a frame boundary: the WithCore barrier queues behind
+  // Checkpoint at a frame boundary: the WithStep barrier queues behind
   // whatever the quiesced poller already delivered, so the serialized state
   // and its applied_offset are exact.
   graph::ByteWriter w;
   std::uint64_t applied = 0;
-  shards_[shard]->WithCore([&](SamplingShardCore& core) {
-    core.Serialize(w);
-    applied = core.applied_offset();
+  shards_[shard]->WithStep([&](ShardStep& step) {
+    step.core().Serialize(w);
+    applied = step.core().applied_offset();
   });
+  // The source's last frames may still sit in its publisher's mailbox;
+  // append them before the destination can publish under the bumped epoch,
+  // or the serving fences would drop them as stale.
+  publishers_[src]->Join();
+  const std::string checkpoint = w.Take();
   migrator_->Advance(id, elastic::MigrationState::kTransferring);
-  migrator_->NoteCheckpoint(id, applied, w.buffer().size());
+  migrator_->NoteCheckpoint(id, applied, checkpoint.size());
   // Drop the migration checkpoint where RecoverNode looks: a destination
   // that dies mid-replay restores this shard from here instead of replaying
   // the whole log.
   if (!last_checkpoint_dir_.empty()) {
     auto opened = store::SegmentStore::Open(CheckpointStoreOptions(last_checkpoint_dir_));
-    if (opened.ok()) {
-      auto status = WriteShardCheckpoint(
-          *opened.value(), shard, std::string_view(w.buffer().data(), w.buffer().size()));
-      if (status.ok()) status = opened.value()->Commit();
-      if (!status.ok()) {
-        HLOG(kWarn, "elastic") << "migration " << id << ": checkpoint of shard " << shard
-                               << " not persisted: " << status.ToString();
-      }
+    util::Status status = opened.status();
+    if (opened.ok()) status = WriteShardCheckpoint(*opened.value(), shard, checkpoint);
+    if (status.ok()) status = opened.value()->Commit();
+    if (!status.ok()) {
+      HLOG(kWarn, "elastic") << "migration " << id << ": checkpoint of shard " << shard
+                             << " not persisted: " << status.ToString();
     }
   }
 
-  // Source teardown: the old incarnation is drained and serialized; kill
-  // before detach so no stray Tell can land between the two.
-  shards_[shard]->Kill();
-  system_->Detach(shards_[shard]);
-
-  // Destination install: fresh actor, state restored, log tail re-armed.
+  // Destination install: a fresh incarnation restores the checkpoint and
+  // replays the log tail. Re-emissions carry the checkpointed epoch/seqs, so
+  // the receivers fence them (exactly-once); the bump to the fresh epoch
+  // happens at the replay frame boundary.
   migrator_->Advance(id, elastic::MigrationState::kReplaying);
-  auto fresh = std::make_shared<ShardActor>(this, shard, dst);
-  bool ok = false;
-  fresh->WithCore([&](SamplingShardCore& core) {
-    // Not attached yet: direct core access is safe.
-    const std::string bytes(w.buffer().data(), w.buffer().size());
-    graph::ByteReader r(bytes);
-    ok = SamplingShardCore::Deserialize(r, core);
-  });
-  if (!ok) {
+  const std::uint32_t epoch = NextShardEpochLocked(shard, NextEpochFor(dst));
+  auto replay = InstallShardLocked(shard, dst, &checkpoint, epoch);
+  if (!replay.ok()) {
     // Cannot happen for bytes we just serialized; treat as a source crash
     // so recovery rebuilds the shard from the durable log.
-    HLOG(kError, "elastic") << "migration " << id << ": checkpoint of shard " << shard
-                            << " failed to deserialize";
+    HLOG(kError, "elastic") << "migration " << id << ": " << replay.status().message();
     migrator_->Abort(id, static_cast<std::int64_t>(util::NowMicros()));
     KillNodeLocked(src);
     return false;
   }
-  // Rewind the consumer group to the checkpoint position and arm replay up
-  // to the current partition end. Re-emissions of [applied, end) carry the
-  // checkpointed epoch/seqs, so the receivers fence them (exactly-once);
-  // the bump to the fresh epoch happens at the replay frame boundary.
-  const std::uint32_t epoch = NextShardEpochLocked(shard, NextEpochFor(dst));
-  broker_->ReplayFrom("sampling", kUpdatesTopic, shard, applied);
-  const std::uint64_t end = broker_->GetTopic(kUpdatesTopic)->partition(shard).end_offset();
-  fresh->BeginReplay(end, epoch, static_cast<std::int64_t>(util::NowMicros()));
-  shard_applied_[shard].store(applied, std::memory_order_release);
-  system_->Attach(fresh, "sampling-" + std::to_string(dst));
-  retired_actors_.push_back(shards_[shard]);
-  shards_[shard] = std::move(fresh);
-  migrator_->NoteReplayed(id, end > applied ? end - applied : 0);
+  migrator_->NoteReplayed(id, replay.value());
   migrator_->NoteEpoch(id, epoch);
   migrator_->Advance(id, elastic::MigrationState::kEpochBumped);
 
@@ -1254,8 +1096,8 @@ bool ThreadedCluster::MigrateShard(std::uint32_t shard, std::uint32_t dst,
   RebuildPollerLocked(dst);
   migrator_->Complete(id, static_cast<std::int64_t>(util::NowMicros()));
   HLOG(kInfo, "elastic") << "migrated shard " << shard << ": node " << src << " -> " << dst
-                         << " (ckpt " << w.buffer().size() << " B at offset " << applied
-                         << ", replay target " << end << ", epoch " << epoch << ", map v"
+                         << " (ckpt " << checkpoint.size() << " B at offset " << applied
+                         << ", " << replay.value() << " records to replay, epoch " << epoch << ", map v"
                          << version << ")";
 
   if (fail == MigrationFailPoint::kDestMidReplay) {
@@ -1348,13 +1190,7 @@ bool ThreadedCluster::ReviveNode(std::uint32_t node) {
   // Scale-up: fresh pools and an (initially partition-less) poller; shards
   // arrive via subsequent migrations. Re-registration continues the
   // supervisor's epoch ledger where the drain left it.
-  system_->AddPool("sampling-" + std::to_string(node), options_.map.shards_per_worker);
-  system_->AddPool("publish-" + std::to_string(node), 1);
-  system_->Detach(publishers_[node]);
-  auto publisher = std::make_shared<PublisherActor>(this);
-  system_->Attach(publisher, "publish-" + std::to_string(node));
-  retired_actors_.push_back(publishers_[node]);
-  publishers_[node] = std::move(publisher);
+  RestartPoolsLocked(node);
   node_drained_[node] = 0;
   node_dead_[node].store(false, std::memory_order_release);
   RebuildPollerLocked(node);
@@ -1405,8 +1241,8 @@ ClusterStats ThreadedCluster::Stats() const {
     }
   }
   for (const auto& shard : live) {
-    shard->WithCore([&stats](SamplingShardCore& core) {
-      const auto& s = core.stats();
+    shard->WithStep([&stats](ShardStep& step) {
+      const auto& s = step.core().stats();
       stats.sampling.updates_processed += s.updates_processed;
       stats.sampling.edges_offered += s.edges_offered;
       stats.sampling.cells += s.cells;

@@ -16,8 +16,8 @@
 // This runtime is functionally complete and is what the tests and examples
 // drive. On this workspace's single core it cannot exhibit parallel
 // speedup; the scalability figures instead use the DES emulator
-// (bench/emu_*), which runs the same SamplingShardCore / ServingCore logic
-// under virtual time.
+// (bench/harness.h), which runs the same node engine (node_engine.h) and
+// cores under virtual time.
 #pragma once
 
 #include <atomic>
@@ -119,6 +119,8 @@ struct ClusterStats {
   SamplingShardCore::Stats sampling;  // aggregated over shards
   ServingCore::Stats serving;         // aggregated over workers
 };
+
+struct ShardLedger;
 
 class ThreadedCluster {
  public:
@@ -274,13 +276,25 @@ class ThreadedCluster {
 
   // Unlocked kill/recover bodies (callers hold fault_mutex_).
   bool KillNodeLocked(std::uint32_t node);
-  ft::RecoveryReport RecoverNode(std::uint32_t node, std::uint32_t epoch, util::Micros now);
+  ft::RecoveryReport RecoverNode(std::uint32_t node, std::uint32_t epoch);
   std::uint32_t NextEpochFor(std::uint32_t node);
   // Strictly-monotonic epoch for shard `s` no matter which node hosts it
   // next: the receivers' fences are keyed by source shard, so a migrated
   // shard must never re-enter under an epoch its previous owner already
   // used. Callers hold fault_mutex_.
   std::uint32_t NextShardEpochLocked(std::uint32_t s, std::uint32_t node_grant);
+  // The one install sequence of a shard incarnation (RecoverNode and
+  // MigrateShard): a fresh actor on `node` restores `checkpoint` (null =
+  // empty state) and arms replay of the partition tail under `epoch`, the
+  // consumer group rewinds to the restored offset, and the actor takes the
+  // shard's slot. Returns the records to replay; on failure the slot is
+  // untouched. Callers hold fault_mutex_.
+  util::StatusOr<std::uint64_t> InstallShardLocked(std::uint32_t s, std::uint32_t node,
+                                                   const std::string* checkpoint,
+                                                   std::uint32_t epoch);
+  // Re-creates a dead node's sampling and publish pools and gives it a
+  // fresh publisher (callers hold fault_mutex_).
+  void RestartPoolsLocked(std::uint32_t node);
   // Replaces node `n`'s polling actor with a fresh one consuming the
   // partitions the current sampling assignment gives it (callers hold
   // fault_mutex_; the old poller must already be stopped).
@@ -347,6 +361,8 @@ class ThreadedCluster {
   mutable std::mutex fault_mutex_;               // kill/recover + slot reads
   std::unique_ptr<std::atomic<bool>[]> node_dead_;          // per sampling worker
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_applied_;  // per shard: log offset applied
+  // Per shard, kept across the shard's incarnations (node_engine.h).
+  std::unique_ptr<ShardLedger[]> ledgers_;
   std::vector<std::uint32_t> node_epochs_;       // fallback grants (no supervisor)
   std::string last_checkpoint_dir_;
 
@@ -379,27 +395,6 @@ class ThreadedCluster {
     obs::Counter* queries_served;
   };
   FlowCounters flow_;
-  // Dissemination-path instrumentation ("dissemination.*"): one batch per
-  // destination per shard dispatch; messages/coalesced/bytes accumulate per
-  // flush, occupancy is the per-batch message-count distribution (fig11/17).
-  struct DissCounters {
-    obs::Counter* batches;
-    obs::Counter* messages;
-    obs::Counter* coalesced;
-    obs::Counter* bytes_wire;
-    obs::LatencyMetric* batch_occupancy;
-  };
-  DissCounters diss_;
-  // Fault-tolerance instrumentation ("ft.*"): log records re-processed
-  // during recovery, serving-side re-emissions dropped by the epoch fence,
-  // and replay duration per recovered shard. (Detection/recovery timings
-  // live in the Supervisor's own ft.* metrics.)
-  struct FtCounters {
-    obs::Counter* updates_replayed;
-    obs::Counter* deltas_fenced;
-    obs::LatencyMetric* time_to_replay_us;
-  };
-  FtCounters ft_;
 };
 
 }  // namespace helios

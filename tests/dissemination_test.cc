@@ -3,8 +3,7 @@
 // shipped through ServingBatch frames — coalesced, arena-encoded, decoded
 // by ServingBatchReader — must leave the serving cache byte-identical to
 // the seed path that applies every message individually. Covers every
-// flush-window size class (per-message, small, large) plus the in-process
-// TakeMessages fast path.
+// flush-window size class (per-message, small, large).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -154,7 +153,6 @@ TEST(Dissemination, BatchedFramesMatchPerMessageApply) {
         if (builder.empty()) return;
         total_coalesced += builder.coalesced();
         const std::string& frame = builder.EncodeToArena();
-        ASSERT_EQ(frame.size(), builder.WireBytes());
         ServingBatchReader reader(frame);
         ServingMessage msg;
         while (reader.Next(msg)) {
@@ -183,36 +181,6 @@ TEST(Dissemination, BatchedFramesMatchPerMessageApply) {
       // actually coalesce or the test is vacuous.
       EXPECT_GT(total_coalesced, 0u) << "window=" << window;
     }
-  }
-}
-
-TEST(Dissemination, TakeMessagesFastPathMatchesPerMessageApply) {
-  const QueryPlan plan = TwoHopPlan();
-  const ShardMap map{1, 2, 2};
-  util::Rng rng(7);
-  const auto streams = RecordStream(plan, map, RandomUpdates(1500, rng));
-  ASSERT_FALSE(streams.empty());
-
-  for (const auto& [sew, stream] : streams) {
-    const auto reference = ApplyUnbatched(plan, sew, stream);
-
-    // The in-process delivery path (DES harness): coalesce, then move the
-    // messages out without touching the byte codec.
-    ServingCore batched(plan, sew);
-    ServingBatchBuilder builder;
-    std::size_t since_flush = 0;
-    auto flush = [&] {
-      for (const auto& m : builder.TakeMessages()) batched.Apply(m);
-    };
-    for (const auto& m : stream) {
-      builder.Add(m);
-      if (++since_flush == 16) {
-        flush();
-        since_flush = 0;
-      }
-    }
-    flush();
-    EXPECT_EQ(batched.DumpCache(), reference) << "sew=" << sew;
   }
 }
 

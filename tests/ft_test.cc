@@ -8,9 +8,12 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench/harness.h"
 #include "ft/fence.h"
@@ -197,6 +200,12 @@ std::vector<graph::GraphUpdate> SmallStream() {
   return stream.Drain();
 }
 
+// Per-process checkpoint directory: concurrent runs of this binary (repeat
+// loops) must not delete or overwrite each other's checkpoints.
+std::filesystem::path CheckpointDir(const std::string& name) {
+  return std::filesystem::temp_directory_path() / (name + "-" + std::to_string(::getpid()));
+}
+
 // Kill a node mid-stream, restart it from the checkpoint, and compare every
 // serving cache byte-for-byte against a cluster that never crashed.
 TEST(ThreadedRecovery, CrashRestoreReplayMatchesUninterruptedRun) {
@@ -215,7 +224,7 @@ TEST(ThreadedRecovery, CrashRestoreReplayMatchesUninterruptedRun) {
   const std::size_t half = updates.size() / 2;
   for (std::size_t i = 0; i < half; ++i) cluster.PublishUpdate(updates[i]);
   cluster.WaitForIngestIdle();
-  const auto dir = std::filesystem::temp_directory_path() / "helios_ft_parity_ckpt";
+  const auto dir = CheckpointDir("helios_ft_parity_ckpt");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(cluster.Checkpoint(dir.string()).ok());
   // Publish the tail and crash while it is (potentially) still in flight.
@@ -268,6 +277,130 @@ TEST(ThreadedRecovery, RestartWithoutCheckpointReplaysFromStart) {
   }
   cluster.Stop();
   golden.Stop();
+}
+
+// Records published while a node is dead are first-time work: recovery
+// must count their frames in dissemination.* exactly once. Checkpointing at
+// idle right before the kill leaves nothing to re-derive, so nothing fences
+// and every published message is counted.
+TEST(ThreadedRecovery, DeadWindowRecordsCountedExactlyOnce) {
+  const auto updates = SmallStream();
+  const auto plan = Plan();
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+
+  ThreadedCluster golden(plan, options);
+  golden.Start();
+  for (const auto& u : updates) golden.PublishUpdate(u);
+  golden.WaitForIngestIdle();
+
+  ThreadedCluster cluster(plan, options);
+  cluster.Start();
+  const std::size_t half = updates.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) cluster.PublishUpdate(updates[i]);
+  cluster.WaitForIngestIdle();
+  const auto dir = CheckpointDir("helios_ft_dead_window_ckpt");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(cluster.Checkpoint(dir.string()).ok());
+  ASSERT_TRUE(cluster.KillNode(0));
+  for (std::size_t i = half; i < updates.size(); ++i) cluster.PublishUpdate(updates[i]);
+  ASSERT_TRUE(cluster.RestartNode(0));
+  cluster.WaitForIngestIdle();
+
+  const auto snapshot = cluster.MetricsSnapshot();
+  EXPECT_GT(snapshot.CounterTotal("ft.updates_replayed"), 0u);
+  EXPECT_EQ(snapshot.CounterTotal("ft.deltas_fenced"), 0u);
+  EXPECT_EQ(snapshot.CounterTotal("dissemination.messages"),
+            cluster.Stats().serving_msgs_published);
+  for (std::uint32_t w = 0; w < options.map.serving_workers; ++w) {
+    EXPECT_EQ(golden.DumpServingCache(w), cluster.DumpServingCache(w)) << "serving worker " << w;
+  }
+  cluster.Stop();
+  golden.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+// A checkpoint that exists but cannot be read fails the recovery instead of
+// silently replaying the shard from offset 0.
+TEST(ThreadedRecovery, CorruptCheckpointFailsRecovery) {
+  const auto updates = SmallStream();
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+  ThreadedCluster cluster(Plan(), options);
+  cluster.Start();
+  for (const auto& u : updates) cluster.PublishUpdate(u);
+  cluster.WaitForIngestIdle();
+  const auto dir = CheckpointDir("helios_ft_corrupt_ckpt");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(cluster.Checkpoint(dir.string()).ok());
+  ASSERT_TRUE(cluster.KillNode(0));
+
+  // Flip every byte past the two metadata copies (2 x 8 clusters of 64 KiB
+  // in the checkpoint store): the segment directory still opens, but every
+  // checkpoint record fails its CRC.
+  const auto path = dir / "checkpoints.hstore";
+  const std::uintmax_t data_start = 2 * 8 * 64 * 1024;
+  const std::uintmax_t size = std::filesystem::file_size(path);
+  ASSERT_GT(size, data_start);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    std::vector<char> bytes(size - data_start);
+    f.seekg(static_cast<std::streamoff>(data_start));
+    f.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    for (char& c : bytes) c = static_cast<char>(c ^ 0xFF);
+    f.seekp(static_cast<std::streamoff>(data_start));
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  EXPECT_FALSE(cluster.RestartNode(0));
+  EXPECT_FALSE(cluster.NodeAlive(0));
+  cluster.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+// A checkpoint written after a recovery carries the recovered epoch, and the
+// peers' control fences in it hold that epoch. Restoring it into a fresh
+// cluster must re-admit each shard above it, or the peers fence (drop) every
+// new control delta. Nothing replays after a restore, so nothing may fence.
+// (Restores into fresh clusters are not byte-comparable with each other: the
+// serving caches start empty and fill in control-interleaving order.)
+TEST(ThreadedRecovery, RestoreOfRecoveredCheckpointKeepsControlFlowing) {
+  const auto updates = SmallStream();
+  const auto plan = Plan();
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+  const std::size_t half = updates.size() / 2;
+  const std::size_t three_quarters = updates.size() * 3 / 4;
+  const auto dir = CheckpointDir("helios_ft_restore_recovered_ckpt");
+  std::filesystem::remove_all(dir);
+  {
+    ThreadedCluster cluster(plan, options);
+    cluster.Start();
+    for (std::size_t i = 0; i < half; ++i) cluster.PublishUpdate(updates[i]);
+    cluster.WaitForIngestIdle();
+    ASSERT_TRUE(cluster.KillNode(0));
+    ASSERT_TRUE(cluster.RestartNode(0));
+    cluster.WaitForIngestIdle();
+    // Control traffic under the recovered epoch: the peers' fences hold it.
+    for (std::size_t i = half; i < three_quarters; ++i) cluster.PublishUpdate(updates[i]);
+    cluster.WaitForIngestIdle();
+    ASSERT_TRUE(cluster.Checkpoint(dir.string()).ok());
+    cluster.Stop();
+  }
+
+  ThreadedCluster restored(plan, options);
+  ASSERT_TRUE(restored.Restore(dir.string()).ok());
+  restored.Start();
+  for (std::size_t i = three_quarters; i < updates.size(); ++i) restored.PublishUpdate(updates[i]);
+  restored.WaitForIngestIdle();
+  const auto snapshot = restored.MetricsSnapshot();
+  const auto stats = restored.Stats();
+  EXPECT_GT(snapshot.CounterTotal("cluster.ctrl_processed"), 0u);
+  EXPECT_EQ(snapshot.CounterTotal("ft.ctrl_deltas_fenced"), 0u);
+  EXPECT_EQ(snapshot.CounterTotal("ft.deltas_fenced"), 0u);
+  EXPECT_EQ(stats.serving_msgs_published, stats.serving_msgs_applied);
+  restored.Stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ThreadedRecovery, SupervisorAutoRecoversKilledNode) {
@@ -355,6 +488,11 @@ TEST(DesRecovery, CrashRecoveryMatchesCrashFreeRun) {
     EXPECT_GT(want.size(), 0u);
     EXPECT_EQ(want, got) << "serving worker " << n;
   }
+  // fig20's exactly-once counting invariant: every counted dissemination
+  // message was applied at serving, and every applied one was counted.
+  std::uint64_t applied = 0;
+  for (const std::uint64_t v : report.applied_timeline) applied += v;
+  EXPECT_EQ(report.diss_messages, applied);
 }
 
 
