@@ -6,8 +6,10 @@
 // decision_interval_us: obs::TelemetryHub::WindowLoads feeds
 // elastic::Rebalancer::Tick, and the resulting Plan is executed through
 // elastic::ShardMigrator — checkpoint (a real SamplingShardCore::Serialize),
-// wire transfer on the SimCluster NIC, install (a real Deserialize), epoch
-// bump, map flip, and a destination-side cutover pause. Node adds and
+// wire transfer on the SimCluster NIC, install and epoch bump through the
+// node engine's ShardStep::Install (the threaded runtime's install), map
+// flip, and a destination-side cutover pause. A failed install aborts the
+// migration and is counted (ElasticReport::migrations_failed). Node adds and
 // drain-then-retire follow the plan's target_nodes / drain lists.
 //
 // Parity contract: every response payload is *executed* (ServeInto) and
@@ -24,6 +26,8 @@
 #include <functional>
 #include <memory>
 
+#include "helios/node_engine.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace helios::bench {
@@ -207,7 +211,10 @@ HeliosDeployment::ElasticReport HeliosDeployment::EmulateElastic(
   arrive_at(arrivals.NextAfter(0));
 
   // ---- migration mechanics ---------------------------------------------
-  std::vector<std::uint32_t> shard_epoch(shards, 1);
+  // Per-shard install state kept across the shard's incarnations, and the
+  // node engine's wiring on virtual time (node_engine.h).
+  auto ledgers = std::make_unique<ShardLedger[]>(shards);
+  obs::FunctionClock virtual_clock([&env] { return env.now(); });
   auto run_migration = [&](const elastic::MigrationOrder& m) {
     if (placement.Current()->OwnerOf(m.shard) != m.from) return;
     if (m.to >= max_nodes || nodes.active[m.to] == 0 || nodes.draining[m.to] != 0) return;
@@ -228,21 +235,27 @@ HeliosDeployment::ElasticReport HeliosDeployment::EmulateElastic(
     report.ckpt_bytes_moved += blob->size();
     migrator.Advance(id, elastic::MigrationState::kTransferring);
     cluster.Send(m.from, m.to, blob->size(), [&, id, m, blob, started] {
-      // Install: a fresh core restores from the checkpoint (real
-      // deserialize). The serving phase appends no update log, so the
-      // replay tail is empty — exactly-once here means the restored state
-      // equals the source byte-for-byte, which Deserialize asserts by
-      // construction and the threaded-runtime tests assert end-to-end.
-      SamplingShardCore::Options opts;
-      opts.registry = &registry_;
-      auto fresh =
-          std::make_unique<SamplingShardCore>(plan_, map_, m.shard, config_.seed, opts);
-      graph::ByteReader r(*blob);
-      if (SamplingShardCore::Deserialize(r, *fresh)) shards_[m.shard] = std::move(fresh);
+      // Install: a fresh core restores from the checkpoint through the
+      // engine, which bumps it above the checkpoint's epoch. The serving
+      // phase appends no update log, so the replay tail is empty and the
+      // bump lands at once.
       migrator.Advance(id, elastic::MigrationState::kReplaying);
+      ShardStep step(std::make_unique<SamplingShardCore>(
+                         plan_, map_, m.shard, config_.seed,
+                         SamplingShardCore::Options{0, &registry_}),
+                     ShardStep::Wiring{&registry_, &virtual_clock, nullptr, nullptr, m.to,
+                                       &ledgers[m.shard]});
+      const util::Status installed = step.Install(blob.get(), 0, 0);
+      if (!installed.ok()) {
+        HLOG(kError, "elastic") << "migration " << id << ": " << installed.message();
+        migrator.Abort(id, env.now());
+        report.migrations_failed++;
+        return;
+      }
       migrator.NoteReplayed(id, 0);
-      migrator.NoteEpoch(id, ++shard_epoch[m.shard]);
+      migrator.NoteEpoch(id, step.core().epoch());
       migrator.Advance(id, elastic::MigrationState::kEpochBumped);
+      shards_[m.shard] = step.TakeCore();
       // Cutover: the destination stalls one pause while the flip publishes
       // and ownership caches flush (the DES twin of
       // ThreadedCluster::FlushOwnershipCachesLocked).

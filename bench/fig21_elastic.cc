@@ -17,7 +17,7 @@
 //   scale-up    peak node count exceeds the initial allocation
 //   scale-down  at least one node drained and retired
 //   migrations  shards actually moved (with real Serialize/Deserialize
-//               checkpoints paying the wire)
+//               checkpoints paying the wire), and no install failed
 //   slo         >= 60% of buckets with traffic keep p99 within the band
 //
 // Usage: fig21_elastic [scale=2000] [duration-s=30] [capacity=2000]
@@ -118,6 +118,11 @@ int main(int argc, char** argv) {
   }
   if (elastic.migrations == 0) {
     std::printf("FAIL migrations: control plane never moved a shard\n");
+    ++failures;
+  }
+  if (elastic.migrations_failed != 0) {
+    std::printf("FAIL migrations: %llu checkpoint install(s) failed and were aborted\n",
+                static_cast<unsigned long long>(elastic.migrations_failed));
     ++failures;
   }
   if (elastic.peak_nodes <= espec.initial_nodes) {

@@ -275,6 +275,7 @@ class HeliosDeployment {
     std::uint64_t offered = 0;
     std::uint64_t completed = 0;
     std::uint64_t migrations = 0;
+    std::uint64_t migrations_failed = 0;  // installs that failed; each aborted
     std::uint32_t nodes_added = 0;
     std::uint32_t nodes_retired = 0;
     std::uint32_t peak_nodes = 0;

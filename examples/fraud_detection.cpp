@@ -16,6 +16,7 @@
 
 #include "gen/datasets.h"
 #include "gnn/graphsage.h"
+#include "helios/coordinator.h"
 #include "helios/threaded_cluster.h"
 #include "util/rng.h"
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "gen/datasets.h"
+#include "helios/coordinator.h"
 #include "helios/threaded_cluster.h"
 
 using namespace helios;

@@ -12,6 +12,7 @@
 
 #include "gen/taobao_sessions.h"
 #include "gnn/graphsage.h"
+#include "helios/coordinator.h"
 #include "helios/threaded_cluster.h"
 
 using namespace helios;

@@ -2,8 +2,6 @@
 
 namespace helios {
 
-Coordinator::Coordinator(ShardMap map, Options options) : map_(map), options_(options) {}
-
 util::StatusOr<QueryPlan> Coordinator::RegisterQuery(const std::string& dsl,
                                                      const graph::GraphSchema& schema,
                                                      const std::string& query_id) {
@@ -28,52 +26,6 @@ util::StatusOr<QueryPlan> Coordinator::RegisterQuery(const SamplingQuery& query,
 std::optional<QueryPlan> Coordinator::plan() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return plan_;
-}
-
-void Coordinator::RegisterWorker(WorkerKind kind, std::uint32_t id, util::Micros now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  workers_[KeyOf(kind, id)] = WorkerInfo{kind, id, now, true};
-}
-
-void Coordinator::Heartbeat(WorkerKind kind, std::uint32_t id, util::Micros now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = workers_.find(KeyOf(kind, id));
-  if (it == workers_.end()) {
-    workers_[KeyOf(kind, id)] = WorkerInfo{kind, id, now, true};
-    return;
-  }
-  it->second.last_heartbeat = now;
-  it->second.alive = true;
-}
-
-std::vector<WorkerInfo> Coordinator::CheckLiveness(util::Micros now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<WorkerInfo> dead;
-  for (auto& [key, info] : workers_) {
-    if (info.alive && now - info.last_heartbeat > options_.heartbeat_timeout) {
-      info.alive = false;
-      dead.push_back(info);
-    }
-  }
-  return dead;
-}
-
-std::vector<WorkerInfo> Coordinator::Workers() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<WorkerInfo> all;
-  all.reserve(workers_.size());
-  for (const auto& [key, info] : workers_) all.push_back(info);
-  return all;
-}
-
-bool Coordinator::CheckpointDue(util::Micros now) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return now - last_checkpoint_ >= options_.checkpoint_interval;
-}
-
-void Coordinator::MarkCheckpointed(util::Micros now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  last_checkpoint_ = now;
 }
 
 }  // namespace helios

@@ -1,46 +1,26 @@
-// Coordinator (§4.1): query registration and decomposition, worker
-// registry with heartbeat liveness, and periodic checkpoint scheduling.
+// Coordinator (§4.1): query registration and decomposition.
 //
 // The coordinator is deliberately thin — it sits on no data path. It
 // registers the user's sampling query, validates and decomposes it into the
-// one-hop DAG (QueryPlan) that it hands to every worker, tracks worker
-// liveness via heartbeats, and decides when a checkpoint is due. Drivers
-// (ThreadedCluster, the emulator, tests) call into it; it never calls out.
+// one-hop DAG (QueryPlan) that it hands to every worker. Liveness is
+// ft::Supervisor's job, and checkpoints are taken when the driver asks
+// (ThreadedCluster::Checkpoint).
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "graph/types.h"
 #include "helios/query.h"
 #include "helios/shard_map.h"
-#include "util/clock.h"
 #include "util/status.h"
 
 namespace helios {
 
-enum class WorkerKind : std::uint8_t { kSampling = 0, kServing = 1 };
-
-struct WorkerInfo {
-  WorkerKind kind = WorkerKind::kSampling;
-  std::uint32_t id = 0;
-  util::Micros last_heartbeat = 0;
-  bool alive = true;
-};
-
 class Coordinator {
  public:
-  struct Options {
-    util::Micros heartbeat_timeout = 5'000'000;   // 5 s
-    util::Micros checkpoint_interval = 60'000'000;  // 60 s
-  };
-
-  Coordinator(ShardMap map, Options options);
-  explicit Coordinator(ShardMap map) : Coordinator(map, Options{}) {}
+  explicit Coordinator(ShardMap map) : map_(map) {}
 
   // Registers the user-specified query: parses the DSL, decomposes it into
   // one-hop queries (§5.1), and stores the plan for distribution. Only one
@@ -55,29 +35,10 @@ class Coordinator {
   std::optional<QueryPlan> plan() const;
   const ShardMap& shard_map() const { return map_; }
 
-  // ---- liveness
-  void RegisterWorker(WorkerKind kind, std::uint32_t id, util::Micros now);
-  void Heartbeat(WorkerKind kind, std::uint32_t id, util::Micros now);
-  // Marks and returns workers whose last heartbeat is older than the
-  // timeout.
-  std::vector<WorkerInfo> CheckLiveness(util::Micros now);
-  std::vector<WorkerInfo> Workers() const;
-
-  // ---- checkpoint cadence
-  bool CheckpointDue(util::Micros now) const;
-  void MarkCheckpointed(util::Micros now);
-
  private:
-  static std::uint64_t KeyOf(WorkerKind kind, std::uint32_t id) {
-    return (static_cast<std::uint64_t>(kind) << 32) | id;
-  }
-
   ShardMap map_;
-  Options options_;
   mutable std::mutex mutex_;
   std::optional<QueryPlan> plan_;
-  std::map<std::uint64_t, WorkerInfo> workers_;
-  util::Micros last_checkpoint_ = 0;
 };
 
 }  // namespace helios

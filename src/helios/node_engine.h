@@ -17,9 +17,11 @@
 // counted frame advances to the shard's applied offset. Replay re-derives
 // frames below it (already counted, fenced at the receivers) and counts
 // first-time work above it; a TTL pass is never re-derived and always
-// counts. A runtime that delivers every frame it was handed (the DES) thus
-// counts exactly what the fences admit; see docs/FAULT_TOLERANCE.md for the
-// threaded runtime's flush-to-publish gap.
+// counts. Both runtimes deliver every frame they are handed before a crash
+// can land (a DES job in service completes; a threaded shard actor appends
+// its frames inside the mailbox slice that counted them, and a kill lets
+// that slice finish), so "dissemination.messages" equals the fences'
+// "dissemination.messages_admitted".
 #pragma once
 
 #include <atomic>
@@ -172,7 +174,10 @@ class FrameApplier {
   // `tracer` (nullable) closes the frame's "batch" flow and each admitted
   // update's "update" flow on lane `pid`.
   FrameApplier(obs::MetricsRegistry* registry, obs::StageTracer* tracer, std::uint32_t pid)
-      : deltas_fenced_(registry->GetCounter("ft.deltas_fenced")), tracer_(tracer), pid_(pid) {}
+      : deltas_fenced_(registry->GetCounter("ft.deltas_fenced")),
+        messages_admitted_(registry->GetCounter("dissemination.messages_admitted")),
+        tracer_(tracer),
+        pid_(pid) {}
 
   // apply(src_shard, const ServingMessage&) runs once per admitted
   // (possibly trimmed) message, in frame order.
@@ -188,6 +193,7 @@ class FrameApplier {
     const ft::EpochFence::FrameToken token = fence_.BeginFrame(d.src_shard, reader.epoch());
     // Messages of one update sit adjacent in a frame: one flow end per run.
     std::uint64_t last_update_flow = 0;
+    std::uint64_t admitted = 0;
     while (reader.Next(msg_)) {
       ++d.messages;
       if (token.stale) {
@@ -198,6 +204,7 @@ class FrameApplier {
         continue;
       }
       d.fenced += FenceInto(fence_, d.src_shard, token, msg_, [&](const ServingMessage& m) {
+        ++admitted;
         apply(d.src_shard, m);
         if (trace != nullptr && m.trace.active() && m.trace.trace_id != last_update_flow) {
           last_update_flow = m.trace.trace_id;
@@ -206,6 +213,7 @@ class FrameApplier {
       });
     }
     if (d.fenced > 0) deltas_fenced_->Add(d.fenced);
+    if (admitted > 0) messages_admitted_->Add(admitted);
     d.ok = reader.ok();
     return d;
   }
@@ -213,6 +221,7 @@ class FrameApplier {
  private:
   ft::EpochFence fence_;  // keyed by source shard
   obs::Counter* deltas_fenced_;
+  obs::Counter* messages_admitted_;  // one per message handed to apply
   obs::StageTracer* tracer_;
   std::uint32_t pid_;
   ServingMessage msg_;  // decode buffer, reused across frames

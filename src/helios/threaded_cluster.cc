@@ -70,58 +70,17 @@ util::Status ReadShardCheckpoint(const store::SegmentStore& st, std::uint32_t sh
 }
 }  // namespace
 
-// Publisher actor (§4.2 publisher threads): appends pre-encoded ServingBatch
-// frames to the serving workers' sample queues — one queue record per batch,
-// so the per-message publish cost collapses into the batch flush.
-class ThreadedCluster::PublisherActor : public actor::Actor {
- public:
-  explicit PublisherActor(ThreadedCluster* cluster) : cluster_(cluster) {}
-
-  // One encoded ServingBatch frame bound for one serving worker.
-  struct EncodedBatch {
-    std::uint32_t sew = 0;
-    std::uint32_t messages = 0;  // records inside the frame (post-coalesce)
-    std::string bytes;
-  };
-
-  void Publish(std::vector<EncodedBatch> batches) {
-    Tell([this, batches = std::move(batches)] {
-      mq::Producer producer(*cluster_->broker_);
-      for (auto& b : batches) {
-        producer.Send(kSamplesTopic, std::string(), std::move(b.bytes),
-                      static_cast<int>(b.sew));
-        // Flow balance counts messages, not frames: the idle detector pairs
-        // this with one serving_applied per decoded record.
-        cluster_->flow_.serving_published->Add(b.messages);
-      }
-    });
-  }
-
-  // Drain barrier (drain-then-retire): returns once every batch queued
-  // before the call has been appended to the broker. A retiring node's
-  // final dispatches must reach the durable log before its publisher dies.
-  void Join() {
-    std::promise<void> done;
-    if (!Tell([&done] { done.set_value(); })) return;  // already killed
-    done.get_future().wait();
-  }
-
- private:
-  ThreadedCluster* cluster_;
-};
-
 // One logical shard: a mailbox over the shard's engine step (all access is
-// serialized by the actor). Frames go to the publisher of the hosting node,
-// control deltas to the destination shard's updates partition.
+// serialized by the actor). Frames go to the serving workers' samples
+// partitions, control deltas to the destination shard's updates partition.
 class ThreadedCluster::ShardActor : public actor::Actor, private ShardStep::Sink {
  public:
   // `owner` is the hosting node under the current sampling assignment — the
   // static layout's worker at construction, the migration destination after
-  // a handoff (the core itself is placement-agnostic; only dispatch routing
-  // and trace labels care).
+  // a handoff (the core itself is placement-agnostic; only trace labels
+  // care).
   ShardActor(ThreadedCluster* cluster, std::uint32_t shard_id, std::uint32_t owner)
       : cluster_(cluster),
-        worker_id_(owner),
         step_(std::make_unique<SamplingShardCore>(
                   cluster->plan_, cluster->options_.map, shard_id, cluster->options_.seed,
                   SamplingShardCore::Options{cluster->options_.ttl, &cluster->registry_}),
@@ -132,9 +91,8 @@ class ThreadedCluster::ShardActor : public actor::Actor, private ShardStep::Sink
   void IngestBatch(std::vector<mq::Record> records) {
     Tell([this, records = std::move(records)] {
       step_.Consume(records, *this);
-      Publish();
-      // Published after the flush so control appends spawned by this batch
-      // are already visible in their destination partitions when the idle
+      // Published after the consume so the frames and control appends this
+      // batch spawned are already in their partitions when the idle
       // detector sees this shard caught up.
       cluster_->shard_applied_[step_.core().shard_id()].store(step_.core().applied_offset(),
                                                               std::memory_order_release);
@@ -142,10 +100,7 @@ class ThreadedCluster::ShardActor : public actor::Actor, private ShardStep::Sink
   }
 
   void Prune(graph::Timestamp cutoff) {
-    Tell([this, cutoff] {
-      step_.Prune(cutoff, *this);
-      Publish();
-    });
+    Tell([this, cutoff] { step_.Prune(cutoff, *this); });
   }
 
   // Direct step access for an actor that is not attached yet (install).
@@ -167,10 +122,15 @@ class ThreadedCluster::ShardActor : public actor::Actor, private ShardStep::Sink
   }
 
  private:
-  // Frames are encoded on the shard thread (the arena is per-builder, so
-  // this does not contend), then handed to the node's publisher in one batch.
+  // Frames are encoded and appended on the shard thread, inside the mailbox
+  // slice that counted them. A kill lets a running slice finish, so every
+  // frame dissemination.* counted reaches the log (node_engine.h).
   void Frame(std::uint32_t sew, const std::string& frame, std::uint32_t messages) override {
-    batches_.push_back({sew, messages, frame});
+    mq::Producer(*cluster_->broker_)
+        .Send(kSamplesTopic, std::string(), frame, static_cast<int>(sew));
+    // Flow balance counts messages, not frames: the idle detector pairs
+    // this with one serving_applied per decoded record.
+    cluster_->flow_.serving_published->Add(messages);
   }
   // Control plane rides the destination shard's updates partition as a
   // tagged record: one totally-ordered log per shard (deterministic replay),
@@ -181,16 +141,9 @@ class ThreadedCluster::ShardActor : public actor::Actor, private ShardStep::Sink
     mq::Producer(*cluster_->broker_)
         .Send(kUpdatesTopic, std::string(), EncodeCtrlRecord(delta), static_cast<int>(shard));
   }
-  void Publish() {
-    if (batches_.empty()) return;
-    cluster_->publishers_[worker_id_]->Publish(std::move(batches_));
-    batches_.clear();
-  }
 
   ThreadedCluster* cluster_;
-  std::uint32_t worker_id_;
   ShardStep step_;
-  std::vector<PublisherActor::EncodedBatch> batches_;  // frames of one mailbox slice
 };
 
 // Polling actor of one sampling worker (§4.2 polling threads): drains the
@@ -213,7 +166,6 @@ class ThreadedCluster::SamplingPollActor : public actor::Actor {
     Tell([this] {
       if (stop_.load(std::memory_order_acquire)) return;
       if (!cluster_->running_.load(std::memory_order_acquire)) return;
-      cluster_->coordinator_->Heartbeat(WorkerKind::kSampling, worker_id_, util::NowMicros());
       if (cluster_->supervisor_ != nullptr) {
         cluster_->supervisor_->Heartbeat(worker_id_, util::NowMicros());
       }
@@ -294,8 +246,8 @@ class ThreadedCluster::ServingUpdateActor : public actor::Actor {
               // control-spawned messages); only measure stamped updates.
               if (msg.OriginMicros() > 0) tracer.RecordEndToEnd(msg.OriginMicros(), start_us);
             });
-        // Fenced messages still count: the publisher counted them, and the
-        // idle detector pairs published with applied.
+        // Fenced messages still count: the shard counted them as published,
+        // and the idle detector pairs published with applied.
         cluster_->flow_.serving_applied->Add(d.messages);
         if (!d.ok) {
           HLOG(kWarn, "serving") << "malformed serving batch at offset " << r.offset;
@@ -325,7 +277,6 @@ class ThreadedCluster::ServingPollActor : public actor::Actor {
   void Loop() {
     Tell([this] {
       if (!cluster_->running_.load(std::memory_order_acquire)) return;
-      cluster_->coordinator_->Heartbeat(WorkerKind::kServing, worker_id_, util::NowMicros());
       std::vector<mq::Record> records;
       consumer_->Poll(cluster_->options_.poll_batch, records);
       if (records.empty()) {
@@ -384,13 +335,12 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
   }
   broker_->CreateTopic(kUpdatesTopic, options_.map.TotalShards());
   broker_->CreateTopic(kSamplesTopic, options_.map.serving_workers);
-  coordinator_ = std::make_unique<Coordinator>(options_.map);
   system_ = std::make_unique<actor::ActorSystem>();
 
-  // One thread per workload class and worker, as in §4.2/§4.3. Sampling-side
-  // pools are per worker ("sampling-<w>", "publish-<w>") so KillNode can
-  // join exactly one node's threads; the polling and update pools are
-  // shared (pollers of a killed node are stopped, not joined).
+  // One thread per workload class and worker, as in §4.2/§4.3. The shard
+  // pools are per worker ("sampling-<w>") so KillNode can join exactly one
+  // node's threads; the polling and update pools are shared (pollers of a
+  // killed node are stopped, not joined).
   system_->AddPool("poll", options_.map.sampling_workers + options_.map.serving_workers);
   system_->AddPool("update", options_.map.serving_workers);
 
@@ -408,7 +358,6 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
   const elastic::ShardMap::View placement = sampling_assignment_.Current();
   for (std::uint32_t w = 0; w < options_.map.sampling_workers; ++w) {
     system_->AddPool("sampling-" + std::to_string(w), options_.map.shards_per_worker);
-    system_->AddPool("publish-" + std::to_string(w), 1);
   }
   for (std::uint32_t s = 0; s < options_.map.TotalShards(); ++s) {
     const std::uint32_t owner = placement->OwnerOf(s);
@@ -417,13 +366,9 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
     shards_.push_back(std::move(shard));
   }
   for (std::uint32_t w = 0; w < options_.map.sampling_workers; ++w) {
-    auto publisher = std::make_shared<PublisherActor>(this);
-    system_->Attach(publisher, "publish-" + std::to_string(w));
-    publishers_.push_back(std::move(publisher));
     auto poller = std::make_shared<SamplingPollActor>(this, w, placement->ShardsOf(w));
     system_->Attach(poller, "poll");
     sampling_pollers_.push_back(std::move(poller));
-    coordinator_->RegisterWorker(WorkerKind::kSampling, w, util::NowMicros());
   }
 
   if (options_.supervision_timeout > 0) {
@@ -471,7 +416,6 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
     auto poller = std::make_shared<ServingPollActor>(this, w);
     system_->Attach(poller, "poll");
     serving_pollers_.push_back(std::move(poller));
-    coordinator_->RegisterWorker(WorkerKind::kServing, w, util::NowMicros());
     if (options_.enable_admission) {
       AdmissionQueue::Options ao = options_.admission;
       ao.registry = &registry_;
@@ -586,10 +530,6 @@ void ThreadedCluster::WaitForIngestIdle() {
         applied_sum += applied;
         if (applied < updates->partition(s).end_offset()) drained = false;
         if (shards_[s]->MailboxDepth() != 0) drained = false;
-      }
-      for (std::uint32_t w = 0; w < options_.map.sampling_workers; ++w) {
-        if (node_dead_[w].load(std::memory_order_acquire)) continue;
-        if (publishers_[w]->MailboxDepth() != 0) drained = false;
       }
     }
     for (const auto& updater : serving_updaters_) {
@@ -772,7 +712,6 @@ util::Status ThreadedCluster::Checkpoint(const std::string& dir) {
   // One commit flips every shard's last-complete pointer together.
   auto status = st.Commit();
   if (!status.ok()) return status;
-  coordinator_->MarkCheckpointed(util::NowMicros());
   {
     std::lock_guard<std::mutex> lock(fault_mutex_);
     last_checkpoint_dir_ = dir;
@@ -818,10 +757,12 @@ bool ThreadedCluster::KillNodeLocked(std::uint32_t node) {
   if (node_dead_[node].load(std::memory_order_acquire)) return false;
   node_dead_[node].store(true, std::memory_order_release);
   // Order matters: stop the intake first (poller feeds shards), then the
-  // shards and the publisher, then join the node's pools so nothing of the
-  // node is still running when we return. Mailbox contents are dropped —
-  // a crash loses in-flight work by design; recovery replays it from the
-  // broker log, which is exactly what the single-log design makes safe.
+  // shards, then join the node's pool so nothing of the node is still
+  // running when we return. Queued mailbox contents are dropped — a crash
+  // loses in-flight work by design; recovery replays it from the broker
+  // log, which is exactly what the single-log design makes safe. A slice
+  // already running finishes with its frames appended, so nothing it
+  // counted is lost.
   // The poller runs on the shared poll pool, which is never joined: wait
   // out its in-flight slice, or that slice could commit offsets past the
   // recovery's rewind, or deliver records to the replacement shard actors.
@@ -831,9 +772,7 @@ bool ThreadedCluster::KillNodeLocked(std::uint32_t node) {
   for (const std::uint32_t s : sampling_assignment_.ShardsOf(node)) {
     dropped += shards_[s]->Kill();
   }
-  dropped += publishers_[node]->Kill();
   system_->StopPool("sampling-" + std::to_string(node));
-  system_->StopPool("publish-" + std::to_string(node));
   HLOG(kWarn, "ft") << "killed sampling node " << node << " (dropped " << dropped
                     << " in-flight mailbox messages)";
   return true;
@@ -853,7 +792,7 @@ bool ThreadedCluster::RestartNode(std::uint32_t node) {
 }
 
 // The recovery sequence (§4.1 / docs/FAULT_TOLERANCE.md): fresh actors and
-// pools, state restored from the latest checkpoint, MQ consumer group
+// shard pool, state restored from the latest checkpoint, MQ consumer group
 // rewound to each shard's restored offset, log tail replayed under the old
 // epoch (receivers fence the re-emissions), node re-admitted under `epoch`.
 // Caller holds fault_mutex_.
@@ -900,7 +839,7 @@ ft::RecoveryReport ThreadedCluster::RecoverNode(std::uint32_t node, std::uint32_
       }
     }
   }
-  RestartPoolsLocked(node);
+  system_->AddPool("sampling-" + std::to_string(node), options_.map.shards_per_worker);
   for (std::size_t i = 0; i < owned.size(); ++i) {
     // The serving fences are keyed by source shard, so a shard that
     // migrated here earlier may already have entered service under an epoch
@@ -971,16 +910,6 @@ util::StatusOr<std::uint64_t> ThreadedCluster::InstallShardLocked(std::uint32_t 
   return end > applied ? end - applied : 0;
 }
 
-void ThreadedCluster::RestartPoolsLocked(std::uint32_t node) {
-  system_->AddPool("sampling-" + std::to_string(node), options_.map.shards_per_worker);
-  system_->AddPool("publish-" + std::to_string(node), 1);
-  system_->Detach(publishers_[node]);
-  auto publisher = std::make_shared<PublisherActor>(this);
-  system_->Attach(publisher, "publish-" + std::to_string(node));
-  retired_actors_.push_back(publishers_[node]);
-  publishers_[node] = std::move(publisher);
-}
-
 void ThreadedCluster::RebuildPollerLocked(std::uint32_t node) {
   // The old incarnation must already be quiesced (StopAndJoin) or killed;
   // the fresh consumer resumes from the committed group offsets, so the gap
@@ -1034,17 +963,14 @@ bool ThreadedCluster::MigrateShard(std::uint32_t shard, std::uint32_t dst,
 
   // Checkpoint at a frame boundary: the WithStep barrier queues behind
   // whatever the quiesced poller already delivered, so the serialized state
-  // and its applied_offset are exact.
+  // and its applied_offset are exact, and every frame the source emitted is
+  // in the log ahead of the destination's bumped-epoch frames.
   graph::ByteWriter w;
   std::uint64_t applied = 0;
   shards_[shard]->WithStep([&](ShardStep& step) {
     step.core().Serialize(w);
     applied = step.core().applied_offset();
   });
-  // The source's last frames may still sit in its publisher's mailbox;
-  // append them before the destination can publish under the bumped epoch,
-  // or the serving fences would drop them as stale.
-  publishers_[src]->Join();
   const std::string checkpoint = w.Take();
   migrator_->Advance(id, elastic::MigrationState::kTransferring);
   migrator_->NoteCheckpoint(id, applied, checkpoint.size());
@@ -1164,16 +1090,13 @@ bool ThreadedCluster::DrainNode(std::uint32_t node) {
     node_drained_[node] = 0;  // leave the node serving whatever remains
     return false;
   }
-  // Retire: the node owns nothing now. Drain the publisher's mailbox into
-  // the durable log before killing it (a retiring node's final dispatches
-  // must not die in a mailbox), deregister from supervision so the
-  // intentional silence is not "detected", then stop the pools.
+  // Retire: the node owns nothing now, and each migration's barrier already
+  // put the source's last frames in the log. Stop its poller and pool, and
+  // deregister from supervision so the intentional silence is not
+  // "detected".
   sampling_pollers_[node]->StopAndJoin();
   sampling_pollers_[node]->Kill();
-  publishers_[node]->Join();
-  publishers_[node]->Kill();
   system_->StopPool("sampling-" + std::to_string(node));
-  system_->StopPool("publish-" + std::to_string(node));
   if (supervisor_ != nullptr) supervisor_->Deregister(node);
   node_dead_[node].store(true, std::memory_order_release);
   HLOG(kInfo, "elastic") << "drained and retired sampling node " << node << " ("
@@ -1187,10 +1110,10 @@ bool ThreadedCluster::ReviveNode(std::uint32_t node) {
   if (!node_dead_[node].load(std::memory_order_acquire) || node_drained_[node] == 0) {
     return false;
   }
-  // Scale-up: fresh pools and an (initially partition-less) poller; shards
-  // arrive via subsequent migrations. Re-registration continues the
+  // Scale-up: a fresh shard pool and an (initially partition-less) poller;
+  // shards arrive via subsequent migrations. Re-registration continues the
   // supervisor's epoch ledger where the drain left it.
-  RestartPoolsLocked(node);
+  system_->AddPool("sampling-" + std::to_string(node), options_.map.shards_per_worker);
   node_drained_[node] = 0;
   node_dead_[node].store(false, std::memory_order_release);
   RebuildPollerLocked(node);

@@ -1,11 +1,15 @@
 // ThreadedCluster — the real-threads single-process deployment of Helios.
 //
 // Wires the full §4 architecture inside one process: M sampling workers
-// (each S shard actors + a polling actor + a publisher actor), N serving
-// workers (a polling actor + a data-updating actor each), a Kafka-style
-// broker carrying the "updates" topic (one partition per logical shard) and
-// the "samples" topic (one partition per serving worker), and a coordinator
-// for query registration / heartbeats / checkpoints. Control-plane
+// (each S shard actors + a polling actor), N serving workers (a polling
+// actor + a data-updating actor each), and a Kafka-style broker carrying
+// the "updates" topic (one partition per logical shard) and the "samples"
+// topic (one partition per serving worker). The paper's publisher threads
+// fold into the shard actors: a shard encodes its frames and appends them
+// to the samples topic inside the mailbox slice that counted them, so a
+// crash cannot drop a counted frame. Liveness is ft::Supervisor's
+// (supervision_timeout); checkpoints are taken when the caller asks
+// (Checkpoint()). Control-plane
 // subscription deltas ride the destination shard's "updates" partition as
 // tagged records, so each shard consumes exactly one totally-ordered log:
 // processing is deterministic given the log, which is what makes
@@ -22,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,7 +41,6 @@
 #include "gen/datasets.h"
 #include "graph/types.h"
 #include "helios/admission.h"
-#include "helios/coordinator.h"
 #include "helios/messages.h"
 #include "helios/query.h"
 #include "helios/sampling_core.h"
@@ -186,11 +190,12 @@ class ThreadedCluster {
   util::Status Restore(const std::string& dir);
 
   // ---- fault injection & recovery (docs/FAULT_TOLERANCE.md)
-  // Kills sampling worker `node`: its polling actor stops, its shard and
-  // publisher actors are torn down with their thread pools joined, and all
-  // in-memory shard state is dropped. In-flight updates and control deltas
-  // stay durable in the broker log. Returns false for an unknown or
-  // already-dead node.
+  // Kills sampling worker `node`: its polling actor stops, its shard actors
+  // are torn down with their thread pool joined, and all in-memory shard
+  // state is dropped. In-flight updates and control deltas stay durable in
+  // the broker log; a shard slice already running finishes first, so every
+  // frame it counted is in the samples topic. Returns false for an unknown
+  // or already-dead node.
   bool KillNode(std::uint32_t node);
   // Manually restarts a killed node: restores its shards from the latest
   // checkpoint, rewinds the consumer group to the restored offsets, replays
@@ -232,11 +237,11 @@ class ThreadedCluster {
   // coordinator-crash window). Idempotent. Returns how many were completed.
   std::size_t ResumeMigrations();
   // Drain-then-retire: migrates every shard off `node` (round-robin over
-  // the remaining live nodes), then retires its pools and deregisters it
+  // the remaining live nodes), then retires its pool and deregisters it
   // from supervision. Returns false if `node` is dead, already drained, or
   // the last node standing.
   bool DrainNode(std::uint32_t node);
-  // Re-adds a drained node with fresh (empty) pools; shards arrive via
+  // Re-adds a drained node with a fresh (empty) pool; shards arrive via
   // subsequent MigrateShard calls (scale-up).
   bool ReviveNode(std::uint32_t node);
   bool NodeDrained(std::uint32_t node) const;
@@ -264,13 +269,11 @@ class ThreadedCluster {
   // call benches use to dump observability state.
   obs::MetricsRegistry::Snapshot MetricsSnapshot();
 
-  Coordinator& coordinator() { return *coordinator_; }
   const QueryPlan& plan() const { return plan_; }
 
  private:
   class ShardActor;
   class SamplingPollActor;
-  class PublisherActor;
   class ServingPollActor;
   class ServingUpdateActor;
 
@@ -292,9 +295,6 @@ class ThreadedCluster {
   util::StatusOr<std::uint64_t> InstallShardLocked(std::uint32_t s, std::uint32_t node,
                                                    const std::string* checkpoint,
                                                    std::uint32_t epoch);
-  // Re-creates a dead node's sampling and publish pools and gives it a
-  // fresh publisher (callers hold fault_mutex_).
-  void RestartPoolsLocked(std::uint32_t node);
   // Replaces node `n`'s polling actor with a fresh one consuming the
   // partitions the current sampling assignment gives it (callers hold
   // fault_mutex_; the old poller must already be stopped).
@@ -322,7 +322,6 @@ class ThreadedCluster {
   // the store) is destroyed first. Null unless durable_log_dir was set.
   std::unique_ptr<store::SegmentStore> mq_store_;
   std::unique_ptr<mq::Broker> broker_;
-  std::unique_ptr<Coordinator> coordinator_;
   std::unique_ptr<actor::ActorSystem> system_;
   // Per-serving-worker stage tracers ({worker=<w>}), shared by the
   // data-updating actor (cache-apply + e2e) and Serve() (serve stage).
@@ -338,7 +337,6 @@ class ThreadedCluster {
   // node_dead_); mutation and multi-slot reads synchronize on fault_mutex_.
   std::vector<std::shared_ptr<ShardActor>> shards_;
   std::vector<std::shared_ptr<SamplingPollActor>> sampling_pollers_;
-  std::vector<std::shared_ptr<PublisherActor>> publishers_;
   std::vector<std::shared_ptr<ServingPollActor>> serving_pollers_;
   std::vector<std::shared_ptr<ServingUpdateActor>> serving_updaters_;
   // Replaced actor incarnations whose pool is (or may be) still running: a

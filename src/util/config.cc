@@ -1,8 +1,28 @@
 #include "util/config.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace helios::util {
+
+namespace {
+// A value that does not parse whole is a typo, never a default: stop.
+[[noreturn]] void Unparsable(const std::string& key, const std::string& value,
+                             const char* type) {
+  std::fprintf(stderr, "config: %s=%s is not %s\n", key.c_str(), value.c_str(), type);
+  std::exit(2);
+}
+
+std::int64_t ParseInt(const std::string& key, const std::string& value,
+                      const std::string& token) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(token.c_str(), &end, 10);
+  if (token.empty() || *end != '\0' || errno == ERANGE) Unparsable(key, value, "an integer");
+  return v;
+}
+}  // namespace
 
 Config Config::FromArgs(int argc, char** argv) {
   Config config;
@@ -26,18 +46,27 @@ std::string Config::GetString(const std::string& key, const std::string& fallbac
 
 std::int64_t Config::GetInt(const std::string& key, std::int64_t fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == values_.end() ? fallback : ParseInt(key, it->second, it->second);
 }
 
 double Config::GetDouble(const std::string& key, double fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || errno == ERANGE) Unparsable(key, value, "a number");
+  return v;
 }
 
 bool Config::GetBool(const std::string& key, bool fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return it->second == "1" || it->second == "true" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "1" || v == "true" || v == "yes") return true;
+  if (v == "0" || v == "false" || v == "no") return false;
+  Unparsable(key, v, "a boolean (1/true/yes or 0/false/no)");
 }
 
 std::vector<std::int64_t> Config::GetIntList(const std::string& key,
@@ -46,14 +75,14 @@ std::vector<std::int64_t> Config::GetIntList(const std::string& key,
   if (it == values_.end()) return fallback;
   std::vector<std::int64_t> out;
   const std::string& s = it->second;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtoll(s.substr(pos, comma - pos).c_str(), nullptr, 10));
+  // Every comma-separated token must be an integer: an empty value, an
+  // empty token or a trailing comma is an error too.
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = s.find(',', pos);
+    out.push_back(ParseInt(key, s, s.substr(pos, comma - pos)));
+    if (comma == std::string::npos) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 }  // namespace helios::util

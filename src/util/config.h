@@ -15,7 +15,11 @@ class Config {
   Config() = default;
 
   // Parses "k1=v1 k2=v2" tokens, e.g. from argv. Unknown tokens are ignored
-  // by callers that probe with the typed getters below.
+  // by callers that probe with the typed getters below. A typed getter whose
+  // key is set exits the process (status 2, with a message naming the key
+  // and the value) unless the whole value parses, so scale=1O,
+  // requests=1e6 or quick=ture stop the run instead of running as 1, 1 and
+  // false.
   static Config FromArgs(int argc, char** argv);
 
   void Set(const std::string& key, const std::string& value) { values_[key] = value; }

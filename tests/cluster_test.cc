@@ -1,5 +1,5 @@
 // End-to-end integration tests: the full threaded Helios deployment
-// (broker + sampling workers + serving workers + coordinator) against a
+// (broker + sampling workers + serving workers) against a
 // ground-truth dynamic graph oracle.
 #include <gtest/gtest.h>
 
@@ -305,18 +305,6 @@ TEST_F(ClusterTest, RestoreFailsOnMissingDirectory) {
   options.map = {1, 1, 1};
   ThreadedCluster cluster(Plan(Strategy::kTopK), options);
   EXPECT_FALSE(cluster.Restore("/nonexistent/helios/ckpt").ok());
-}
-
-TEST_F(ClusterTest, CoordinatorTracksWorkers) {
-  ClusterOptions options;
-  options.map = {2, 1, 3};
-  ThreadedCluster cluster(Plan(Strategy::kTopK), options);
-  EXPECT_EQ(cluster.coordinator().Workers().size(), 5u);  // 2 sampling + 3 serving
-  cluster.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // Heartbeats flowed; nothing is dead.
-  EXPECT_TRUE(cluster.coordinator().CheckLiveness(util::NowMicros()).empty());
-  cluster.Stop();
 }
 
 TEST_F(ClusterTest, TtlPruneShrinksState) {

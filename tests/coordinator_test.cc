@@ -1,5 +1,5 @@
-// Tests for the coordinator: query registration, liveness, checkpoints,
-// and the session-Taobao generator used by the accuracy experiment.
+// Tests for the coordinator's query registration and the session-Taobao
+// generator used by the accuracy experiment.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -40,41 +40,6 @@ TEST(Coordinator, RejectsBadQueryAndKeepsOld) {
                   .ok());
   EXPECT_FALSE(coordinator.RegisterQuery("g.V('Ghost')", Schema(), "bad").ok());
   EXPECT_EQ(coordinator.plan()->query.id, "good");
-}
-
-TEST(Coordinator, HeartbeatLiveness) {
-  Coordinator::Options options;
-  options.heartbeat_timeout = 1000;
-  Coordinator coordinator(ShardMap{1, 1, 1}, options);
-  coordinator.RegisterWorker(WorkerKind::kSampling, 0, /*now=*/0);
-  coordinator.RegisterWorker(WorkerKind::kServing, 0, /*now=*/0);
-  EXPECT_EQ(coordinator.Workers().size(), 2u);
-
-  coordinator.Heartbeat(WorkerKind::kSampling, 0, 900);
-  auto dead = coordinator.CheckLiveness(/*now=*/1500);
-  ASSERT_EQ(dead.size(), 1u);
-  EXPECT_EQ(dead[0].kind, WorkerKind::kServing);
-  // Already marked dead: not reported twice.
-  EXPECT_TRUE(coordinator.CheckLiveness(1600).empty());
-  // A heartbeat revives it.
-  coordinator.Heartbeat(WorkerKind::kServing, 0, 1700);
-  EXPECT_TRUE(coordinator.CheckLiveness(1800).empty());
-}
-
-TEST(Coordinator, HeartbeatFromUnknownWorkerRegisters) {
-  Coordinator coordinator(ShardMap{1, 1, 1});
-  coordinator.Heartbeat(WorkerKind::kSampling, 7, 100);
-  EXPECT_EQ(coordinator.Workers().size(), 1u);
-}
-
-TEST(Coordinator, CheckpointCadence) {
-  Coordinator::Options options;
-  options.checkpoint_interval = 1000;
-  Coordinator coordinator(ShardMap{1, 1, 1}, options);
-  EXPECT_TRUE(coordinator.CheckpointDue(1000));
-  coordinator.MarkCheckpointed(1000);
-  EXPECT_FALSE(coordinator.CheckpointDue(1500));
-  EXPECT_TRUE(coordinator.CheckpointDue(2000));
 }
 
 TEST(SessionTaobao, StreamShapeAndDeterminism) {

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "elastic/migrator.h"
 #include "elastic/rebalancer.h"
 #include "elastic/shard_map.h"
@@ -405,6 +407,12 @@ TEST(ElasticMigration, OwnershipChangeFlushesAggregatesAndHotSeeds) {
 
 // ------------------------------------------------------- chaos fail points
 
+// Per-process checkpoint directory: concurrent runs of this binary (repeat
+// loops) must not delete or overwrite each other's checkpoints.
+std::filesystem::path CheckpointDir(const std::string& name) {
+  return std::filesystem::temp_directory_path() / (name + "-" + std::to_string(::getpid()));
+}
+
 // Source dies while serializing the shard: nothing was installed anywhere,
 // the migration aborts, and ordinary crash recovery owns the source.
 TEST(ElasticChaos, SourceCrashMidCheckpointConverges) {
@@ -423,7 +431,7 @@ TEST(ElasticChaos, SourceCrashMidCheckpointConverges) {
   const std::size_t half = updates.size() / 2;
   for (std::size_t i = 0; i < half; ++i) cluster.PublishUpdate(updates[i]);
   cluster.WaitForIngestIdle();
-  const auto dir = std::filesystem::temp_directory_path() / "helios_elastic_chaos_src";
+  const auto dir = CheckpointDir("helios_elastic_chaos_src");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(cluster.Checkpoint(dir.string()).ok());
   for (std::size_t i = half; i < updates.size(); ++i) cluster.PublishUpdate(updates[i]);
@@ -462,7 +470,7 @@ TEST(ElasticChaos, DestCrashMidReplayConverges) {
   const std::size_t half = updates.size() / 2;
   for (std::size_t i = 0; i < half; ++i) cluster.PublishUpdate(updates[i]);
   cluster.WaitForIngestIdle();
-  const auto dir = std::filesystem::temp_directory_path() / "helios_elastic_chaos_dst";
+  const auto dir = CheckpointDir("helios_elastic_chaos_dst");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(cluster.Checkpoint(dir.string()).ok());
   for (std::size_t i = half; i < updates.size(); ++i) cluster.PublishUpdate(updates[i]);

@@ -320,6 +320,37 @@ TEST(ThreadedRecovery, DeadWindowRecordsCountedExactlyOnce) {
   std::filesystem::remove_all(dir);
 }
 
+// A kill that lands while frames are in flight must not lose a frame its
+// shard already counted: a running mailbox slice finishes, and its frames
+// are appended inside it. Every counted message then reaches a serving
+// worker's apply exactly once, and re-derivations after the restart fence.
+// Where the kill falls varies run to run, so CI repeats this test.
+TEST(ThreadedRecovery, MidStreamKillCountsEveryAdmittedMessageOnce) {
+  const auto updates = SmallStream();
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+  ThreadedCluster cluster(Plan(), options);
+  cluster.Start();
+  const std::size_t third = updates.size() / 3;
+  for (std::size_t i = 0; i < third; ++i) cluster.PublishUpdate(updates[i]);
+  cluster.WaitForIngestIdle();
+  const auto dir = CheckpointDir("helios_ft_mid_stream_ckpt");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(cluster.Checkpoint(dir.string()).ok());
+  for (std::size_t i = third; i < 2 * third; ++i) cluster.PublishUpdate(updates[i]);
+  ASSERT_TRUE(cluster.KillNode(0));
+  for (std::size_t i = 2 * third; i < updates.size(); ++i) cluster.PublishUpdate(updates[i]);
+  ASSERT_TRUE(cluster.RestartNode(0));
+  cluster.WaitForIngestIdle();
+
+  const auto snapshot = cluster.MetricsSnapshot();
+  EXPECT_GT(snapshot.CounterTotal("dissemination.messages"), 0u);
+  EXPECT_EQ(snapshot.CounterTotal("dissemination.messages"),
+            snapshot.CounterTotal("dissemination.messages_admitted"));
+  cluster.Stop();
+  std::filesystem::remove_all(dir);
+}
+
 // A checkpoint that exists but cannot be read fails the recovery instead of
 // silently replaying the shard from offset 0.
 TEST(ThreadedRecovery, CorruptCheckpointFailsRecovery) {

@@ -421,6 +421,38 @@ TEST(Config, FallbacksWhenMissing) {
   EXPECT_EQ(c.GetIntList("missing", {1, 2}), (std::vector<std::int64_t>{1, 2}));
 }
 
+TEST(Config, ParsesWholeValuesOnly) {
+  Config c;
+  c.Set("neg", "-3");
+  c.Set("sci", "2.5e3");
+  c.Set("off", "no");
+  EXPECT_EQ(c.GetInt("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(c.GetDouble("sci", 0), 2500.0);
+  EXPECT_FALSE(c.GetBool("off", true));
+}
+
+TEST(ConfigDeathTest, UnparsableValuesExitNamingKeyAndValue) {
+  Config c;
+  c.Set("scale", "1O");
+  c.Set("requests", "1e6");
+  c.Set("empty", "");
+  c.Set("huge", "99999999999999999999");
+  c.Set("rate", "1.5x");
+  c.Set("quick", "ture");
+  c.Set("fanouts", "25,1O");
+  c.Set("gaps", "25,,10");
+  c.Set("trailing", "25,10,");
+  EXPECT_EXIT(c.GetInt("scale", 0), ::testing::ExitedWithCode(2), "scale=1O");
+  EXPECT_EXIT(c.GetInt("requests", 0), ::testing::ExitedWithCode(2), "requests=1e6");
+  EXPECT_EXIT(c.GetInt("empty", 0), ::testing::ExitedWithCode(2), "empty=");
+  EXPECT_EXIT(c.GetInt("huge", 0), ::testing::ExitedWithCode(2), "huge=9+");
+  EXPECT_EXIT(c.GetDouble("rate", 0), ::testing::ExitedWithCode(2), "rate=1\\.5x");
+  EXPECT_EXIT(c.GetBool("quick", false), ::testing::ExitedWithCode(2), "quick=ture");
+  EXPECT_EXIT(c.GetIntList("fanouts", {}), ::testing::ExitedWithCode(2), "fanouts=25,1O");
+  EXPECT_EXIT(c.GetIntList("gaps", {}), ::testing::ExitedWithCode(2), "gaps=25,,10");
+  EXPECT_EXIT(c.GetIntList("trailing", {}), ::testing::ExitedWithCode(2), "trailing=25,10,");
+}
+
 // -------------------------------------------------------------- aligned
 
 TEST(Aligned, VectorDataIs32ByteAligned) {
