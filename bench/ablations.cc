@@ -43,9 +43,11 @@ int main(int argc, char** argv) {
 
     util::Rng rng(3);
     double cache_us = 0, adhoc_us = 0;
+    SampledSubgraph sample;
+    ServeScratch scratch;
     for (const auto seed : seeds) {
       cache_us += static_cast<double>(util::TimeIt([&] {
-        (void)helios.serving_core(helios.map().ServingWorkerOf(seed)).Serve(seed);
+        helios.serving_core(helios.map().ServingWorkerOf(seed)).ServeInto(seed, sample, scratch);
       }));
       adhoc_us += static_cast<double>(
           util::TimeIt([&] { (void)adhoc.db().ExecuteKHop(seed, plan, rng); }));

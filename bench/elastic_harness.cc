@@ -34,16 +34,6 @@ namespace helios::bench {
 
 namespace {
 
-// Mirrors the serving-path response model in harness.cc: header + 12 bytes
-// per sampled node + keyed feature rows.
-std::size_t ElasticResponseBytes(const SampledSubgraph& result) {
-  std::size_t bytes = 64;
-  for (const auto& layer : result.layers) bytes += layer.size() * 12;
-  result.features.ForEach(
-      [&](graph::VertexId, std::span<const float> f) { bytes += 12 + f.size() * 4; });
-  return bytes;
-}
-
 void FoldHash(std::uint64_t& h, std::uint64_t v) {
   // FNV-1a over the value's 8 bytes.
   for (int i = 0; i < 8; ++i) {
@@ -189,7 +179,7 @@ HeliosDeployment::ElasticReport HeliosDeployment::EmulateElastic(
       // Execute the real read path; the payload digest is the parity gate.
       serving_[map_.ServingWorkerOf(seed)]->ServeInto(seed, out, scratch);
       FoldResponse(hash, idx, out);
-      const std::uint64_t bytes = ElasticResponseBytes(out);
+      const std::uint64_t bytes = ResponseBytes(out);
       bucket_offered[bucket_of(t)]++;
       // The load gauges record at *arrival* (offered load, service cost as
       // the latency sample): an autoscaler fed by completion rates can

@@ -66,9 +66,11 @@ int main(int argc, char** argv) {
     const auto [seed_type, population] = bench::PaperSeeds(spec);
     gen::SeedGenerator seed_gen(seed_type, population, 0.0, 31);
     std::uint64_t relevant_total = 0, relevant_missed = 0;
+    SampledSubgraph result;
+    ServeScratch scratch;
     for (int s = 0; s < 500; ++s) {
       const auto seed = seed_gen.Next();
-      const auto result = paced.serving_core(paced.map().ServingWorkerOf(seed)).Serve(seed);
+      paced.serving_core(paced.map().ServingWorkerOf(seed)).ServeInto(seed, result, scratch);
       std::vector<graph::VertexId> srcs{seed};
       for (const auto& n : result.layers.size() > 1 ? result.layers[1]
                                                     : std::vector<SampledSubgraph::Node>{}) {

@@ -33,6 +33,8 @@ double RunWithDelay(const gen::SessionTaobao& data, const QueryPlan& plan,
   const ShardMap map{1, 1, 1};
   SamplingShardCore sampler(plan, map, 0, 77, {});
   ServingCore serving(plan, 0);
+  SampledSubgraph sample;
+  ServeScratch scratch;
   util::Rng rng(1234);
 
   // Messages wait here until event time passes origin + delay.
@@ -86,7 +88,7 @@ double RunWithDelay(const gen::SessionTaobao& data, const QueryPlan& plan,
       // Evaluate/train on a subsample to bound runtime.
       const bool selected = rng.Bernoulli(is_train ? 0.2 : 0.5);
       if (selected) {
-        const auto sample = serving.Serve(click.src);
+        serving.ServeInto(click.src, sample, scratch);
         const auto zu = encoder.EmbedSeed(sample);
         const auto zpos = embed_item(click.dst);
         const auto zneg = embed_item(

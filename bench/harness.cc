@@ -84,6 +84,7 @@ graph::VertexId RoutingVertex(const graph::GraphUpdate& u) {
   if (const auto* e = std::get_if<graph::EdgeUpdate>(&u)) return e->src;
   return std::get<graph::VertexUpdate>(u).id;
 }
+}  // namespace
 
 std::size_t ResponseBytes(const SampledSubgraph& result) {
   std::size_t bytes = 64;
@@ -92,7 +93,6 @@ std::size_t ResponseBytes(const SampledSubgraph& result) {
       [&](graph::VertexId, std::span<const float> f) { bytes += 12 + f.size() * 4; });
   return bytes;
 }
-}  // namespace
 
 // ============================================================ Helios
 

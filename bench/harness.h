@@ -361,6 +361,10 @@ QueryPlan PaperQuery(const gen::DatasetSpec& spec, Strategy strategy, std::size_
 // The seed vertex type and population of that query.
 std::pair<graph::VertexTypeId, std::uint64_t> PaperSeeds(const gen::DatasetSpec& spec);
 
+// The DES response-size model of one served query: header + 12 bytes per
+// sampled node + keyed feature rows.
+std::size_t ResponseBytes(const SampledSubgraph& result);
+
 // Row printers so every bench emits uniform, paper-comparable tables.
 void PrintHeader(const std::string& title, const std::string& columns);
 void PrintServeRow(const std::string& system, const std::string& dataset,

@@ -7,7 +7,6 @@
 #include <malloc.h>
 
 #include <cstdlib>
-#include <map>
 #include <new>
 
 #include <filesystem>
@@ -26,7 +25,7 @@ using namespace helios;
 //
 // Global operator new/delete override with a per-thread counter, so
 // BM_ServePathZeroCopy can assert the "zero heap allocations in
-// steady-state Serve()" contract instead of merely claiming it. The
+// steady-state ServeInto()" contract instead of merely claiming it. The
 // counter only counts — allocation itself is plain malloc, so every other
 // benchmark is unaffected.
 
@@ -231,8 +230,11 @@ static void BM_ServeKHopAssembly(benchmark::State& state) {
   gen::UpdateStream stream(spec);
   helios.IngestAll(stream.Drain());
   gen::SeedGenerator seed_gen(0, spec.vertices_per_type[0], 0.0, 5);
+  SampledSubgraph out;
+  ServeScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(helios.serving_core(0).Serve(seed_gen.Next()));
+    helios.serving_core(0).ServeInto(seed_gen.Next(), out, scratch);
+    benchmark::DoNotOptimize(out.features.size());
   }
 }
 BENCHMARK(BM_ServeKHopAssembly);
@@ -381,16 +383,12 @@ BENCHMARK(BM_DisseminationBatched)->Arg(8)->Arg(64);
 // -------------------------------------------------- query read path
 //
 // The serving-side read path of §6 at fan-out 10×10, priced end to end:
-// K-hop cell lookups + feature fetch into a result. Two variants bracket
-// the zero-copy batching work:
-//   SeedReplica — the pre-arena path: one string key + KvStore::Get +
-//     ByteReader decode per cell, features copied one vector at a time
-//     into a std::map.
-//   ZeroCopy — ServingCore::ServeInto: stack key buffers, one MultiView
-//     per hop (one lock per distinct KV shard), cells decoded from the
-//     in-lock bytes, features landing in the per-query arena. With the
-//     result and scratch reused, the steady state performs zero heap
-//     allocations — asserted here via the operator-new counter above.
+// K-hop cell lookups + feature fetch into a result through
+// ServingCore::ServeInto: stack key buffers, one MultiView per hop (one
+// lock per distinct KV shard), cells decoded from the in-lock bytes,
+// features landing in the per-query arena. With the result and scratch
+// reused, the steady state performs zero heap allocations — asserted here
+// via the operator-new counter above.
 
 namespace {
 constexpr std::uint32_t kServeFanout = 10;
@@ -409,7 +407,7 @@ QueryPlan ServePlan() {
   return Decompose(q, schema).value();
 }
 
-// Deterministic full-fanout cache population, identical for both variants.
+// Deterministic full-fanout cache population, identical for every variant.
 struct ServeState {
   std::vector<SampleUpdate> cells;
   std::vector<FeatureUpdate> features;
@@ -451,110 +449,6 @@ ServeState MakeServeState() {
   return state;
 }
 
-// ---- seed-path replica (string keys, Get + decode + per-vertex copies)
-
-std::string SeedSampleKey(std::uint32_t level, graph::VertexId v) {
-  std::string key(10, '\0');
-  key[0] = 's';
-  key[1] = static_cast<char>(level);
-  std::memcpy(key.data() + 2, &v, sizeof(v));
-  return key;
-}
-
-std::string SeedFeatureKey(graph::VertexId v) {
-  std::string key(9, '\0');
-  key[0] = 'f';
-  std::memcpy(key.data() + 1, &v, sizeof(v));
-  return key;
-}
-
-void PopulateSeedStore(kv::KvStore& store, const ServeState& state) {
-  for (const auto& su : state.cells) {
-    graph::ByteWriter w;
-    w.PutI64(su.event_ts);
-    w.PutU32(static_cast<std::uint32_t>(su.samples.size()));
-    for (const auto& e : su.samples) {
-      w.PutU64(e.dst);
-      w.PutI64(e.ts);
-      w.PutF32(e.weight);
-    }
-    store.Put(SeedSampleKey(su.level, su.vertex), w.Take());
-  }
-  for (const auto& fu : state.features) {
-    graph::ByteWriter w;
-    w.PutFloats(fu.feature);
-    store.Put(SeedFeatureKey(fu.vertex), w.Take());
-  }
-}
-
-struct SeedSubgraph {
-  graph::VertexId seed = graph::kInvalidVertex;
-  std::vector<std::vector<SampledSubgraph::Node>> layers;
-  std::map<graph::VertexId, graph::Feature> features;
-  std::uint64_t missing_cells = 0;
-  std::uint64_t missing_features = 0;
-};
-
-SeedSubgraph SeedServe(const kv::KvStore& store, const QueryPlan& plan, graph::VertexId seed) {
-  SeedSubgraph result;
-  result.seed = seed;
-  result.layers.resize(plan.num_hops() + 1);
-  result.layers[0].push_back({seed, 0});
-
-  std::vector<graph::Edge> cell;
-  std::string value;
-  for (std::size_t k = 0; k < plan.num_hops(); ++k) {
-    const std::uint32_t level = plan.one_hop[k].hop;
-    auto& frontier = result.layers[k];
-    auto& next = result.layers[k + 1];
-    for (std::uint32_t parent = 0; parent < frontier.size(); ++parent) {
-      if (!store.Get(SeedSampleKey(level, frontier[parent].vertex), value).ok()) {
-        result.missing_cells++;
-        continue;
-      }
-      cell.clear();
-      graph::ByteReader r(value);
-      r.GetI64();
-      const std::uint32_t n = r.GetU32();
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        graph::Edge e;
-        e.dst = r.GetU64();
-        e.ts = r.GetI64();
-        e.weight = r.GetF32();
-        if (r.ok()) cell.push_back(e);
-      }
-      for (const auto& edge : cell) next.push_back({edge.dst, parent});
-    }
-  }
-  for (const auto& layer : result.layers) {
-    for (const auto& node : layer) {
-      if (result.features.count(node.vertex)) continue;
-      if (store.Get(SeedFeatureKey(node.vertex), value).ok()) {
-        graph::ByteReader r(value);
-        result.features.emplace(node.vertex, r.GetFloats());
-      } else {
-        result.missing_features++;
-      }
-    }
-  }
-  return result;
-}
-}  // namespace
-
-static void BM_ServePathSeedReplica(benchmark::State& state) {
-  const auto plan = ServePlan();
-  kv::KvStore store({});
-  PopulateSeedStore(store, MakeServeState());
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    const auto result = SeedServe(store, plan, gen::MakeVertexId(0, i++ % kServeUsers));
-    benchmark::DoNotOptimize(result.features.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ServePathSeedReplica);
-
-namespace {
 // Shared body for every fused-serve-path variant: populate the cache in
 // `format`, warm up, then measure steady-state ServeInto asserting the
 // zero-allocation contract (now inclusive of the 32-byte aligned arenas —

@@ -66,7 +66,7 @@ int main() {
   schema.feature_dim = 4;
 
   ShardMap map{2, 2, 2};
-  Coordinator coordinator(map);
+  Coordinator coordinator;
   // Table 2 FIN query: Account-TransferTo-Account-TransferTo-Account,
   // TopK by timestamp so the freshest transfers dominate the sample.
   auto plan = coordinator.RegisterQuery(

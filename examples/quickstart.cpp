@@ -43,7 +43,7 @@ int main() {
 
   // ---- 2. the Fig 1 query, registered through the coordinator
   ShardMap map{/*sampling_workers=*/2, /*shards_per_worker=*/2, /*serving_workers=*/2};
-  Coordinator coordinator(map);
+  Coordinator coordinator;
   auto plan = coordinator.RegisterQuery(
       "g.V('User').outV('Click').sample(2).by('Random')"
       ".outV('CoPurchase').sample(2).by('TopK')",

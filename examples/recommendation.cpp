@@ -27,7 +27,7 @@ int main() {
   gen::SessionTaobao data(options);
 
   ShardMap map{2, 2, 2};
-  Coordinator coordinator(map);
+  Coordinator coordinator;
   auto plan = coordinator.RegisterQuery(
       "g.V('User').outV('Click').sample(10).by('TopK')"
       ".outV('CoPurchase').sample(5).by('TopK')",

@@ -2,7 +2,7 @@
 // model-service substrate of §7.4/§7.5 (TensorFlow Serving substitute).
 //
 // The encoder runs L = K layers over the sampled tree produced by
-// helios::ServingCore::Serve(): layer l computes, for every node that still
+// helios::ServingCore::ServeInto(): layer l computes, for every node that still
 // needs an activation at depth l, h_l = ReLU(W_self h_{l-1}(v) + W_neigh
 // mean(h_{l-1}(children)) + b), exactly Equation (1) of §2.1. Weights are
 // deterministic functions of a seed; TrainLinkHead() learns the logistic
@@ -53,7 +53,7 @@ class GraphSageEncoder {
   // Cache-assisted embed through the core's computation-reuse tier
   // (docs/PERF.md "Computation reuse & admission"): children whose hop-1
   // aggregate is cached and fresh skip their hop-2 expansion and feature
-  // gather entirely. Bit-identical to Serve() + EmbedSeed() — the miss
+  // gather entirely. Bit-identical to ServeInto() + EmbedSeed() — the miss
   // path recomputes aggregates in the exact summation order EmbedSeed
   // uses, and hits replay the stored floats. Returns false (out untouched)
   // when the tier cannot serve this shape — cache disabled, plan not

@@ -13,15 +13,12 @@
 
 #include "graph/types.h"
 #include "helios/query.h"
-#include "helios/shard_map.h"
 #include "util/status.h"
 
 namespace helios {
 
 class Coordinator {
  public:
-  explicit Coordinator(ShardMap map) : map_(map) {}
-
   // Registers the user-specified query: parses the DSL, decomposes it into
   // one-hop queries (§5.1), and stores the plan for distribution. Only one
   // query may be registered (re-registration replaces it; live workers are
@@ -33,10 +30,8 @@ class Coordinator {
                                           const graph::GraphSchema& schema);
 
   std::optional<QueryPlan> plan() const;
-  const ShardMap& shard_map() const { return map_; }
 
  private:
-  ShardMap map_;
   mutable std::mutex mutex_;
   std::optional<QueryPlan> plan_;
 };

@@ -46,6 +46,14 @@ std::uint32_t CellRecordCount(std::string_view value) {
   return n;
 }
 
+// Newest record timestamp of a cell holding n records: the header
+// timestamp every write stamps and the TTL pass ages cells by. (Integer max
+// is value-exact across SIMD dispatch levels, so the header bytes stay
+// host-independent.)
+graph::Timestamp NewestRecordTs(std::string_view cell, std::uint32_t n) {
+  return util::simd::MaxStridedI64(cell.data() + kCellHeaderBytes + 8, kCellRecordBytes, n, 0);
+}
+
 // In-place binary patch of one encoded cell value (§6 delta apply). The
 // fixed layout lets a delta splice the evicted record out and the added
 // record in without decoding the cell into an Edge vector and re-encoding
@@ -95,8 +103,7 @@ void PatchCell(std::string& value, const graph::Edge& added, graph::VertexId evi
       std::memcpy(value.data() + ooff, &added.dst, 8);
       std::memcpy(value.data() + ooff + 8, &added.ts, 8);
       std::memcpy(value.data() + ooff + 16, &added.weight, 4);
-      const graph::Timestamp newest =
-          util::simd::MaxStridedI64(value.data() + kCellHeaderBytes + 8, kCellRecordBytes, n, 0);
+      const graph::Timestamp newest = NewestRecordTs(value, n);
       std::memcpy(value.data(), &newest, sizeof(newest));
       return;
     }
@@ -127,10 +134,7 @@ void PatchCell(std::string& value, const graph::Edge& added, graph::VertexId evi
   // content the snapshot path writes (SendSampleUpdate), so snapshot-built
   // and delta-patched cells are byte-identical no matter which write landed
   // last. Crash-replay parity (docs/FAULT_TOLERANCE.md) depends on this.
-  // (Integer max is value-exact across SIMD dispatch levels, so the header
-  // bytes stay host-independent.)
-  const graph::Timestamp newest =
-      util::simd::MaxStridedI64(value.data() + kCellHeaderBytes + 8, kCellRecordBytes, n, 0);
+  const graph::Timestamp newest = NewestRecordTs(value, n);
   std::memcpy(value.data(), &newest, sizeof(newest));
   std::memcpy(value.data() + 8, &n, sizeof(n));
 }
@@ -525,11 +529,6 @@ ServingCore::ServingCore(QueryPlan plan, std::uint32_t worker_id, Options option
     registry_ = owned_registry_.get();
   }
   freshness_ = options_.freshness;
-  if (freshness_ != nullptr) {
-    static const obs::WallClock kWallClock;
-    freshness_clock_ = options_.freshness_clock != nullptr ? options_.freshness_clock
-                                                           : &kWallClock;
-  }
   const obs::Labels labels{{"worker", std::to_string(worker_id_)}};
   m_.sample_updates_applied = registry_->GetCounter("serving.sample_updates_applied", labels);
   m_.sample_deltas_applied = registry_->GetCounter("serving.sample_deltas_applied", labels);
@@ -579,8 +578,7 @@ void ServingCore::Apply(const ServingMessage& message) {
   if (freshness_ != nullptr) {
     const std::int64_t origin = message.OriginMicros();
     if (origin > 0) {
-      freshness_->OnApply(message.TargetVertex(), apply_src_shard_, origin,
-                          freshness_clock_->NowMicros());
+      freshness_->OnApply(message.TargetVertex(), apply_src_shard_, origin, CacheNowMicros());
     }
   }
   switch (message.kind()) {
@@ -635,6 +633,89 @@ void ServingCore::Apply(const ServingMessage& message) {
   }
 }
 
+// ---- the read path's phases, shared by ServeInto and ServeAggregatesInto
+
+template <typename VertexAt, typename Result>
+std::size_t ServingCore::DecodeHop(std::uint32_t level, std::size_t n, VertexAt vertex_at,
+                                   ServeScratch& scratch, Result& out) const {
+  out.sample_lookups += n;
+  scratch.sample_keys.resize(n);
+  scratch.keys.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.sample_keys[i] = SampleKeyBuf(level, vertex_at(i));
+    scratch.keys[i] = scratch.sample_keys[i].view();
+  }
+  scratch.ranges.assign(n, ServeScratch::CellRange{});
+  scratch.hop_dst.clear();
+  store_->MultiView(
+      scratch.keys.data(), n,
+      [&](std::size_t i, std::string_view value, bool found) {
+        const std::uint32_t count = found ? CellRecordCount(value) : kBadCell;
+        if (count == kBadCell) {
+          // Absent, or present but truncated: served as missing either way,
+          // the latter also counted so corruption is observable
+          // (serving.bad_cells).
+          out.missing_cells++;
+          if (found) out.bad_cells++;
+          return;
+        }
+        auto& range = scratch.ranges[i];
+        range.begin = static_cast<std::uint32_t>(scratch.hop_dst.size());
+        range.count = count;
+        scratch.hop_dst.resize(scratch.hop_dst.size() + count);
+        util::simd::GatherStridedU64(value.data() + kCellHeaderBytes, kCellRecordBytes, count,
+                                     scratch.hop_dst.data() + range.begin);
+      },
+      scratch.kv);
+  return scratch.hop_dst.size();
+}
+
+template <typename Result>
+void ServingCore::GatherFeatures(FeatureTable& features, std::int64_t now,
+                                 ServeScratch& scratch, Result& out) const {
+  const std::size_t n = scratch.feat_vertices.size();
+  out.feature_lookups += n;
+  scratch.feature_keys.resize(n);
+  scratch.keys.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.feature_keys[i] = FeatureKeyBuf(scratch.feat_vertices[i]);
+    scratch.keys[i] = scratch.feature_keys[i].view();
+  }
+  store_->MultiView(
+      scratch.keys.data(), n,
+      [&](std::size_t i, std::string_view value, bool found) {
+        if (!found) {
+          out.missing_features++;
+          // Drop the dedup placeholder so Contains() keeps meaning "the
+          // feature was found".
+          features.Erase(scratch.feat_vertices[i]);
+          return;
+        }
+        DecodeFeatureInto(value, features, scratch.feat_vertices[i]);
+      },
+      scratch.kv);
+
+  if (freshness_ != nullptr) {
+    // Every distinct vertex whose cell/feature this query read counts as
+    // served; feat_vertices holds exactly that set.
+    for (const graph::VertexId v : scratch.feat_vertices) freshness_->OnServe(v, now);
+  }
+}
+
+template <typename Result>
+void ServingCore::RecordServe(const Result& out, std::uint64_t nodes, std::size_t arena_floats,
+                              std::chrono::steady_clock::time_point t0) const {
+  m_.queries_served->Add(1);
+  m_.cache_miss_cells->Add(out.missing_cells);
+  m_.cache_miss_features->Add(out.missing_features);
+  if (out.bad_cells > 0) m_.bad_cells->Add(out.bad_cells);
+  m_.query_nodes->Record(nodes);
+  m_.query_arena_bytes->Record(arena_floats * sizeof(float));
+  m_.query_latency_us->Record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() - t0)
+          .count()));
+}
+
 void ServingCore::ServeInto(graph::VertexId seed, SampledSubgraph& out,
                             ServeScratch& scratch) const {
   const auto t0 = std::chrono::steady_clock::now();
@@ -651,60 +732,19 @@ void ServingCore::ServeInto(graph::VertexId seed, SampledSubgraph& out,
   out.features.Insert(seed);
   scratch.feat_vertices.push_back(seed);
 
-  // ---- hop phase: one shard-batched MultiView per hop. Cells are decoded
-  // straight from the in-lock value bytes into a scratch SoA buffer
-  // (shard-visit order) with the strided vector gather, then scattered back
-  // to BFS order.
+  // ---- hop phase: one decoded MultiView per hop (shard-visit order),
+  // scattered back to BFS order.
   for (std::size_t k = 0; k < num_hops; ++k) {
-    const std::uint32_t level = plan_.one_hop[k].hop;
     const auto& frontier = out.layers[k];
     auto& next = out.layers[k + 1];
-    const std::size_t fsize = frontier.size();
-    out.sample_lookups += fsize;
-    if (fsize == 0) continue;
-
-    scratch.sample_keys.resize(fsize);
-    scratch.keys.resize(fsize);
-    for (std::size_t i = 0; i < fsize; ++i) {
-      scratch.sample_keys[i] = SampleKeyBuf(level, frontier[i].vertex);
-      scratch.keys[i] = scratch.sample_keys[i].view();
-    }
-    scratch.ranges.assign(fsize, ServeScratch::CellRange{0, ServeScratch::kMissingCell});
-    scratch.hop_dst.clear();
-    std::size_t decoded_total = 0;
-    store_->MultiView(
-        scratch.keys.data(), fsize,
-        [&](std::size_t i, std::string_view value, bool found) {
-          if (!found) return;  // stays kMissingCell
-          const std::uint32_t n = CellRecordCount(value);
-          if (n == kBadCell) {
-            // Present but truncated: still served as missing, but counted
-            // separately so corruption is observable (serving.bad_cells).
-            scratch.ranges[i].count = ServeScratch::kBadCellRange;
-            return;
-          }
-          auto& range = scratch.ranges[i];
-          range.begin = static_cast<std::uint32_t>(scratch.hop_dst.size());
-          range.count = n;
-          decoded_total += n;
-          scratch.hop_dst.resize(scratch.hop_dst.size() + n);
-          util::simd::GatherStridedU64(value.data() + kCellHeaderBytes, kCellRecordBytes, n,
-                                       scratch.hop_dst.data() + range.begin);
-        },
-        scratch.kv);
-    next.reserve(decoded_total);
-    for (std::size_t i = 0; i < fsize; ++i) {
+    next.reserve(DecodeHop(
+        plan_.one_hop[k].hop, frontier.size(), [&](std::size_t i) { return frontier[i].vertex; },
+        scratch, out));
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
       const auto& range = scratch.ranges[i];
-      if (range.count == ServeScratch::kMissingCell ||
-          range.count == ServeScratch::kBadCellRange) {
-        out.missing_cells++;
-        if (range.count == ServeScratch::kBadCellRange) out.bad_cells++;
-        continue;
-      }
-      const auto parent = static_cast<std::uint32_t>(i);
       for (std::uint32_t r = 0; r < range.count; ++r) {
         const graph::VertexId v = scratch.hop_dst[range.begin + r];
-        next.push_back({v, parent});
+        next.push_back({v, static_cast<std::uint32_t>(i)});
         if (out.features.Insert(v)) scratch.feat_vertices.push_back(v);
       }
     }
@@ -713,51 +753,8 @@ void ServingCore::ServeInto(graph::VertexId seed, SampledSubgraph& out,
   // ---- feature phase: one batched lookup over the distinct tree vertices
   // (already deduplicated above), dequantized straight into the per-query
   // arena with a single probe per vertex.
-  const std::size_t unique_vertices = scratch.feat_vertices.size();
-  out.feature_lookups += unique_vertices;
-  scratch.feature_keys.resize(unique_vertices);
-  scratch.keys.resize(unique_vertices);
-  for (std::size_t i = 0; i < unique_vertices; ++i) {
-    scratch.feature_keys[i] = FeatureKeyBuf(scratch.feat_vertices[i]);
-    scratch.keys[i] = scratch.feature_keys[i].view();
-  }
-  store_->MultiView(
-      scratch.keys.data(), unique_vertices,
-      [&](std::size_t i, std::string_view value, bool found) {
-        if (!found) {
-          out.missing_features++;
-          // Drop the dedup placeholder so Contains() keeps meaning "the
-          // feature was found", as before the fused rewrite.
-          out.features.Erase(scratch.feat_vertices[i]);
-          return;
-        }
-        DecodeFeatureInto(value, out.features, scratch.feat_vertices[i]);
-      },
-      scratch.kv);
-
-  if (freshness_ != nullptr) {
-    // Every distinct vertex whose cell/feature this query read counts as
-    // served; scratch.feat_vertices already holds exactly that set.
-    const std::int64_t now = freshness_clock_->NowMicros();
-    for (const graph::VertexId v : scratch.feat_vertices) freshness_->OnServe(v, now);
-  }
-
-  m_.queries_served->Add(1);
-  m_.cache_miss_cells->Add(out.missing_cells);
-  m_.cache_miss_features->Add(out.missing_features);
-  if (out.bad_cells > 0) m_.bad_cells->Add(out.bad_cells);
-  m_.query_nodes->Record(out.TotalNodes());
-  m_.query_arena_bytes->Record(out.features.arena_floats() * sizeof(float));
-  m_.query_latency_us->Record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() - t0)
-          .count()));
-}
-
-SampledSubgraph ServingCore::Serve(graph::VertexId seed) const {
-  static thread_local ServeScratch scratch;
-  SampledSubgraph out;
-  ServeInto(seed, out, scratch);
-  return out;
+  GatherFeatures(out.features, freshness_ != nullptr ? CacheNowMicros() : 0, scratch, out);
+  RecordServe(out, out.TotalNodes(), out.features.arena_floats(), t0);
 }
 
 std::int64_t ServingCore::CacheNowMicros() const {
@@ -777,29 +774,8 @@ bool ServingCore::ServeAggregatesInto(graph::VertexId seed, std::size_t dim,
   const std::int64_t now = CacheNowMicros();
 
   // ---- seed cell: one probe yields the full child frontier.
-  out.sample_lookups++;
-  {
-    const SampleKeyBuf kb(level1, seed);
-    std::string_view key = kb.view();
-    store_->MultiView(
-        &key, 1,
-        [&](std::size_t, std::string_view value, bool found) {
-          if (!found) {
-            out.missing_cells++;
-            return;
-          }
-          const std::uint32_t n = CellRecordCount(value);
-          if (n == kBadCell) {
-            out.missing_cells++;
-            out.bad_cells++;
-            return;
-          }
-          out.children.resize(n);
-          util::simd::GatherStridedU64(value.data() + kCellHeaderBytes, kCellRecordBytes, n,
-                                       out.children.data());
-        },
-        scratch.kv);
-  }
+  DecodeHop(level1, 1, [&](std::size_t) { return seed; }, scratch, out);
+  out.children.assign(scratch.hop_dst.begin(), scratch.hop_dst.end());
   const std::size_t nc = out.children.size();
   out.nodes_touched = 1 + nc;
 
@@ -830,93 +806,34 @@ bool ServingCore::ServeAggregatesInto(graph::VertexId seed, std::size_t dim,
   // via AddF32, then one DivF32 by the record count).
   const std::size_t nmiss = scratch.agg_miss.size();
   if (nmiss > 0) {
-    scratch.sample_keys.resize(nmiss);
-    scratch.keys.resize(nmiss);
-    for (std::size_t m = 0; m < nmiss; ++m) {
-      scratch.sample_keys[m] = SampleKeyBuf(level2, out.children[scratch.agg_miss[m]]);
-      scratch.keys[m] = scratch.sample_keys[m].view();
-    }
-    out.sample_lookups += nmiss;
-    scratch.ranges.assign(nmiss, ServeScratch::CellRange{0, ServeScratch::kMissingCell});
-    scratch.hop_dst.clear();
-    store_->MultiView(
-        scratch.keys.data(), nmiss,
-        [&](std::size_t m, std::string_view value, bool found) {
-          if (!found) return;
-          const std::uint32_t n = CellRecordCount(value);
-          if (n == kBadCell) {
-            scratch.ranges[m].count = ServeScratch::kBadCellRange;
-            return;
-          }
-          auto& range = scratch.ranges[m];
-          range.begin = static_cast<std::uint32_t>(scratch.hop_dst.size());
-          range.count = n;
-          scratch.hop_dst.resize(scratch.hop_dst.size() + n);
-          util::simd::GatherStridedU64(value.data() + kCellHeaderBytes, kCellRecordBytes, n,
-                                       scratch.hop_dst.data() + range.begin);
-        },
-        scratch.kv);
-
+    out.nodes_touched += DecodeHop(
+        level2, nmiss, [&](std::size_t m) { return out.children[scratch.agg_miss[m]]; },
+        scratch, out);
     scratch.agg_features.Clear();
     scratch.feat_vertices.clear();
     for (std::size_t m = 0; m < nmiss; ++m) {
       const auto& range = scratch.ranges[m];
-      if (range.count == ServeScratch::kMissingCell ||
-          range.count == ServeScratch::kBadCellRange) {
-        out.missing_cells++;
-        if (range.count == ServeScratch::kBadCellRange) out.bad_cells++;
-        continue;
-      }
-      out.nodes_touched += range.count;
       for (std::uint32_t r = 0; r < range.count; ++r) {
         const graph::VertexId v = scratch.hop_dst[range.begin + r];
         if (scratch.agg_features.Insert(v)) scratch.feat_vertices.push_back(v);
       }
     }
-
-    const std::size_t ngk = scratch.feat_vertices.size();
-    out.feature_lookups += ngk;
-    scratch.feature_keys.resize(ngk);
-    scratch.keys.resize(ngk);
-    for (std::size_t i = 0; i < ngk; ++i) {
-      scratch.feature_keys[i] = FeatureKeyBuf(scratch.feat_vertices[i]);
-      scratch.keys[i] = scratch.feature_keys[i].view();
-    }
-    store_->MultiView(
-        scratch.keys.data(), ngk,
-        [&](std::size_t i, std::string_view value, bool found) {
-          if (!found) {
-            out.missing_features++;
-            scratch.agg_features.Erase(scratch.feat_vertices[i]);
-            return;
-          }
-          DecodeFeatureInto(value, scratch.agg_features, scratch.feat_vertices[i]);
-        },
-        scratch.kv);
-
-    if (freshness_ != nullptr) {
-      for (const graph::VertexId v : scratch.feat_vertices) freshness_->OnServe(v, now);
-    }
+    GatherFeatures(scratch.agg_features, now, scratch, out);
 
     scratch.agg_row.resize(dim);
     for (std::size_t m = 0; m < nmiss; ++m) {
       const std::uint32_t child_idx = scratch.agg_miss[m];
       float* acc = out.aggs.data() + child_idx * dim;  // already zero-filled
       const auto& range = scratch.ranges[m];
-      const bool usable = range.count != ServeScratch::kMissingCell &&
-                          range.count != ServeScratch::kBadCellRange;
-      if (usable) {
-        for (std::uint32_t r = 0; r < range.count; ++r) {
-          const std::span<const float> f =
-              scratch.agg_features.Find(scratch.hop_dst[range.begin + r]);
-          const std::size_t n = std::min(dim, f.size());
-          std::fill(scratch.agg_row.begin(), scratch.agg_row.end(), 0.f);
-          std::copy(f.begin(), f.begin() + static_cast<std::ptrdiff_t>(n),
-                    scratch.agg_row.begin());
-          util::simd::AddF32(acc, scratch.agg_row.data(), dim);
-        }
-        if (range.count > 0) util::simd::DivF32(acc, static_cast<float>(range.count), dim);
+      for (std::uint32_t r = 0; r < range.count; ++r) {
+        const std::span<const float> f =
+            scratch.agg_features.Find(scratch.hop_dst[range.begin + r]);
+        const std::size_t n = std::min(dim, f.size());
+        std::fill(scratch.agg_row.begin(), scratch.agg_row.end(), 0.f);
+        std::copy(f.begin(), f.begin() + static_cast<std::ptrdiff_t>(n), scratch.agg_row.begin());
+        util::simd::AddF32(acc, scratch.agg_row.data(), dim);
       }
+      if (range.count > 0) util::simd::DivF32(acc, static_cast<float>(range.count), dim);
       // A missing cell caches as zeros: that *is* the uncached answer for
       // this state, and the cell's arrival invalidates it via Apply.
       agg_cache_.Put(out.children[child_idx], version, dim, now, acc);
@@ -926,47 +843,16 @@ bool ServingCore::ServeAggregatesInto(graph::VertexId seed, std::size_t dim,
   // ---- input features of seed + children (the only arena the GNN's first
   // layer still needs — hits skipped the grandchild gather entirely).
   scratch.feat_vertices.clear();
-  out.features.Clear();
   if (out.features.Insert(seed)) scratch.feat_vertices.push_back(seed);
   for (std::size_t i = 0; i < nc; ++i) {
     if (out.features.Insert(out.children[i])) scratch.feat_vertices.push_back(out.children[i]);
   }
-  const std::size_t nf = scratch.feat_vertices.size();
-  out.feature_lookups += nf;
-  scratch.feature_keys.resize(nf);
-  scratch.keys.resize(nf);
-  for (std::size_t i = 0; i < nf; ++i) {
-    scratch.feature_keys[i] = FeatureKeyBuf(scratch.feat_vertices[i]);
-    scratch.keys[i] = scratch.feature_keys[i].view();
-  }
-  store_->MultiView(
-      scratch.keys.data(), nf,
-      [&](std::size_t i, std::string_view value, bool found) {
-        if (!found) {
-          out.missing_features++;
-          out.features.Erase(scratch.feat_vertices[i]);
-          return;
-        }
-        DecodeFeatureInto(value, out.features, scratch.feat_vertices[i]);
-      },
-      scratch.kv);
+  GatherFeatures(out.features, now, scratch, out);
 
-  if (freshness_ != nullptr) {
-    for (const graph::VertexId v : scratch.feat_vertices) freshness_->OnServe(v, now);
-  }
-
-  m_.queries_served->Add(1);
   m_.agg_hits->Add(out.cache_hits);
   m_.agg_misses->Add(out.cache_misses);
   m_.agg_stale->Add(out.stale_recomputes);
-  m_.cache_miss_cells->Add(out.missing_cells);
-  m_.cache_miss_features->Add(out.missing_features);
-  if (out.bad_cells > 0) m_.bad_cells->Add(out.bad_cells);
-  m_.query_nodes->Record(out.nodes_touched);
-  m_.query_arena_bytes->Record((out.features.arena_floats() + out.aggs.size()) * sizeof(float));
-  m_.query_latency_us->Record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() - t0)
-          .count()));
+  RecordServe(out, out.nodes_touched, out.features.arena_floats() + out.aggs.size(), t0);
   return true;
 }
 
@@ -981,8 +867,7 @@ std::size_t ServingCore::EvictOlderThan(graph::Timestamp cutoff) {
     graph::Timestamp newest = 0;
     const std::uint32_t n = CellRecordCount(value);
     if (n != kBadCell) {
-      newest = util::simd::MaxStridedI64(value.data() + kCellHeaderBytes + 8, kCellRecordBytes,
-                                         n, 0);
+      newest = NewestRecordTs(value, n);
     } else {
       ++bad;
     }

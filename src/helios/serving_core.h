@@ -7,25 +7,29 @@
 //   * a sample table per one-hop query: key "s/<level>/<vertex>" -> the
 //     pre-sampled cell pushed by the sampling workers;
 //   * a feature table: key "f/<vertex>" -> the latest feature.
-// Serve() assembles the full K-hop result by iterative cell lookups —
+// ServeInto() assembles the full K-hop result by iterative cell lookups —
 // exactly prod_{i<K} C_i sample-table and prod_{i<=K} C_i feature-table
 // lookups in the worst case, independent of the seed's real degree, which
-// is the tail-latency argument of the paper.
+// is the tail-latency argument of the paper. ServeAggregatesInto() is the
+// same read path with hop-1 aggregates reused from a cache: both run one
+// hop decode, one feature gather and one per-query metrics record.
 //
 // The read path is zero-copy and shard-batched: keys are fixed-size binary
 // buffers built on the stack (SampleKeyBuf/FeatureKeyBuf), every hop is one
 // KvStore::MultiView (one lock per distinct KV shard, cells decoded in
 // place from the resident bytes), and the result's features land in one
-// contiguous per-query float arena indexed vertex -> (offset, len). With a
-// reused output + ServeScratch, steady-state ServeInto() performs zero
-// heap allocations (asserted by bench/micro_ops BM_ServePath).
+// contiguous per-query float arena indexed vertex -> (offset, len). The
+// caller owns the output and a ServeScratch; reused, a steady-state call
+// performs zero heap allocations (asserted by bench/micro_ops
+// BM_ServePathZeroCopy and BM_ServePathCached).
 //
 // Consistency is eventual (§6): updates are applied as the sample queue
-// drains; a lookup may miss entries that are still in flight. Serve()
+// drains; a lookup may miss entries that are still in flight. Each result
 // reports how many lookups missed so experiments can quantify staleness.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -301,10 +305,8 @@ struct ServeScratch {
   util::AlignedVector<graph::VertexId> hop_dst;
   struct CellRange {
     std::uint32_t begin = 0;
-    std::uint32_t count = 0;  // kMissingCell / kBadCellRange when unusable
+    std::uint32_t count = 0;  // 0 for an absent or truncated cell
   };
-  static constexpr std::uint32_t kMissingCell = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kBadCellRange = 0xFFFFFFFEu;  // present but truncated
   std::vector<CellRange> ranges;
   std::vector<graph::VertexId> feat_vertices;  // distinct tree vertices, first-sight order
 
@@ -418,8 +420,6 @@ class ServingCore {
   // Feature lookups are deduplicated per query: each distinct vertex in
   // the sampled tree costs exactly one feature-table probe.
   void ServeInto(graph::VertexId seed, SampledSubgraph& out, ServeScratch& scratch) const;
-  // Convenience wrapper: fresh result, thread-local scratch.
-  SampledSubgraph Serve(graph::VertexId seed) const;
 
   // Cache-assisted assembly for two-hop plans (the computation-reuse tier,
   // docs/PERF.md): resolves the seed's children and each child's hop-1
@@ -445,8 +445,8 @@ class ServingCore {
   // hit/miss counters it trades off against.
   void CountShedQueries(std::uint64_t n) const { m_.agg_shed->Add(n); }
   std::int64_t aggregate_staleness_us() const { return options_.aggregate_staleness_us; }
-  // Now in the staleness clock's domain (options.freshness_clock if set,
-  // else wall time).
+  // Now in the freshness and staleness clock's domain
+  // (options.freshness_clock if set, else wall time).
   std::int64_t CacheNowMicros() const;
 
   // TTL pass over the sample table: drops cached samples whose newest entry
@@ -483,7 +483,6 @@ class ServingCore {
   // on miss; the cache locks internally.
   mutable AggregateCache agg_cache_;
   obs::FreshnessTracker* freshness_ = nullptr;
-  const obs::Clock* freshness_clock_ = nullptr;
   std::uint32_t apply_src_shard_ = 0;
 
   // Registry-backed metric handles (see sampling_core.h for the pattern).
@@ -511,6 +510,28 @@ class ServingCore {
     obs::LatencyMetric* query_arena_bytes;
   };
   MetricHandles m_;
+
+  // The read path's phases, one implementation each, shared by ServeInto
+  // and ServeAggregatesInto (`Result` is SampledSubgraph or
+  // AggregateServeResult; each phase adds its lookups and misses there).
+  //
+  // Hop decode: one MultiView over the level-`level` cells of
+  // vertex_at(0..n), decoded in place into scratch.hop_dst, with
+  // scratch.ranges[i] locating cell i's children (empty when the cell is
+  // absent or truncated). Returns the number of children decoded.
+  template <typename VertexAt, typename Result>
+  std::size_t DecodeHop(std::uint32_t level, std::size_t n, VertexAt vertex_at,
+                        ServeScratch& scratch, Result& out) const;
+  // Feature gather: one MultiView over scratch.feat_vertices, decoded into
+  // `features`; a missing feature erases its vertex. Reports each vertex as
+  // served at `now` to the freshness tracker.
+  template <typename Result>
+  void GatherFeatures(FeatureTable& features, std::int64_t now, ServeScratch& scratch,
+                      Result& out) const;
+  // The per-query "serving.*" record.
+  template <typename Result>
+  void RecordServe(const Result& out, std::uint64_t nodes, std::size_t arena_floats,
+                   std::chrono::steady_clock::time_point t0) const;
 };
 
 // ---- fault-tolerance admission (docs/FAULT_TOLERANCE.md)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <optional>
@@ -16,6 +18,15 @@ namespace helios {
 namespace {
 constexpr const char* kUpdatesTopic = "updates";
 constexpr const char* kSamplesTopic = "samples";
+// Records per consumer poll, for both sampling and serving pollers.
+constexpr std::size_t kPollBatch = 512;
+
+// A durable log the caller asked for but that cannot open stops the
+// process, naming the directory and the reason.
+[[noreturn]] void DurableLogFailed(const std::string& dir, const std::string& why) {
+  std::fprintf(stderr, "cluster: durable log %s: %s\n", dir.c_str(), why.c_str());
+  std::exit(2);
+}
 
 // Checkpoints live in one segment-store file per checkpoint directory
 // (docs/STORAGE.md): each round writes every live shard's serialized state
@@ -171,7 +182,7 @@ class ThreadedCluster::SamplingPollActor : public actor::Actor {
       }
       std::vector<mq::Record> records;
       std::vector<std::uint32_t> partitions;
-      consumer_->PollWithPartitions(cluster_->options_.poll_batch, records, partitions);
+      consumer_->PollWithPartitions(kPollBatch, records, partitions);
       if (records.empty()) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       } else {
@@ -278,7 +289,7 @@ class ThreadedCluster::ServingPollActor : public actor::Actor {
     Tell([this] {
       if (!cluster_->running_.load(std::memory_order_acquire)) return;
       std::vector<mq::Record> records;
-      consumer_->Poll(cluster_->options_.poll_batch, records);
+      consumer_->Poll(kPollBatch, records);
       if (records.empty()) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       } else {
@@ -314,24 +325,18 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
   flow_.queries_served = registry_.GetCounter("cluster.queries_served");
   broker_ = std::make_unique<mq::Broker>();
   if (!options_.durable_log_dir.empty()) {
+    const std::string& dir = options_.durable_log_dir;
     std::error_code ec;
-    std::filesystem::create_directories(options_.durable_log_dir, ec);
+    std::filesystem::create_directories(dir, ec);
+    if (ec) DurableLogFailed(dir, "cannot create the directory: " + ec.message());
     store::StoreOptions sopt;
-    sopt.path = options_.durable_log_dir + "/mqlog.hstore";
+    sopt.path = dir + "/mqlog.hstore";
     sopt.cluster_size = 64 * 1024;
     auto opened = store::SegmentStore::Open(sopt);
-    if (opened.ok()) {
-      mq_store_ = std::move(opened.value());
-      auto bound = broker_->BindStore(mq_store_.get());
-      if (!bound.ok()) {
-        HLOG(kWarn, "cluster") << "durable log bind failed, staying memory-only: "
-                               << bound.message();
-        mq_store_.reset();
-      }
-    } else {
-      HLOG(kWarn, "cluster") << "durable log open failed, staying memory-only: "
-                             << opened.status().message();
-    }
+    if (!opened.ok()) DurableLogFailed(dir, "open: " + opened.status().ToString());
+    mq_store_ = std::move(opened.value());
+    const util::Status bound = broker_->BindStore(mq_store_.get());
+    if (!bound.ok()) DurableLogFailed(dir, "bind: " + bound.ToString());
   }
   broker_->CreateTopic(kUpdatesTopic, options_.map.TotalShards());
   broker_->CreateTopic(kSamplesTopic, options_.map.serving_workers);
@@ -552,28 +557,32 @@ void ThreadedCluster::WaitForIngestIdle() {
 SampledSubgraph ThreadedCluster::Serve(graph::VertexId seed) {
   // Layout hashes the seed to a logical lane; the versioned serving
   // assignment names the lane's current physical owner.
-  const std::uint32_t worker = RouteOf(seed);
-  flow_.queries_served->Add(1);
-  if (options_.telemetry == nullptr) {
-    obs::ScopedStage span(*serving_tracers_[worker], obs::Stage::kServe, kServingPidBase + worker,
-                          1);
-    return serving_cores_[worker]->Serve(seed);
-  }
-  const std::int64_t t0 = wall_clock_.NowMicros();
   SampledSubgraph result;
+  ServeOn(RouteOf(seed), seed, /*budget_us=*/0, result);
+  return result;
+}
+
+void ThreadedCluster::ServeOn(std::uint32_t worker, graph::VertexId seed, std::int64_t budget_us,
+                              SampledSubgraph& out) {
+  // One scratch per thread: the query pump and every caller thread each
+  // reuse their own, so a steady-state serve allocates only its result.
+  static thread_local ServeScratch scratch;
+  flow_.queries_served->Add(1);
+  const std::int64_t t0 = options_.telemetry != nullptr ? wall_clock_.NowMicros() : 0;
   {
     obs::ScopedStage span(*serving_tracers_[worker], obs::Stage::kServe, kServingPidBase + worker,
                           1);
-    result = serving_cores_[worker]->Serve(seed);
+    serving_cores_[worker]->ServeInto(seed, out, scratch);
   }
-  const std::int64_t t1 = wall_clock_.NowMicros();
-  // Reply-size proxy: topology nodes plus the feature floats the query
-  // gathered (the arena holds exactly this query's features).
-  const std::uint64_t bytes =
-      result.TotalNodes() * sizeof(SampledSubgraph::Node) +
-      result.features.arena_floats() * sizeof(float);
-  options_.telemetry->RecordQuery(worker, t1, static_cast<std::uint64_t>(t1 - t0), bytes);
-  return result;
+  if (options_.telemetry != nullptr) {
+    const std::int64_t t1 = wall_clock_.NowMicros();
+    // Reply-size proxy: topology nodes plus the feature floats the query
+    // gathered (the arena holds exactly this query's features).
+    const std::uint64_t bytes = out.TotalNodes() * sizeof(SampledSubgraph::Node) +
+                                out.features.arena_floats() * sizeof(float);
+    options_.telemetry->RecordQuery(worker, t1, static_cast<std::uint64_t>(t1 - t0), bytes,
+                                    budget_us > 0 ? static_cast<std::uint64_t>(budget_us) : 0);
+  }
 }
 
 // ---- admission front door (docs/PERF.md "Computation reuse & admission")
@@ -597,24 +606,10 @@ AdmissionQueue::Outcome ThreadedCluster::SubmitQuery(graph::VertexId seed,
 }
 
 void ThreadedCluster::ServeTicket(std::uint32_t worker, const QueryTicket& ticket) {
-  const std::int64_t t0 = wall_clock_.NowMicros();
   SampledSubgraph result;
-  {
-    obs::ScopedStage span(*serving_tracers_[worker], obs::Stage::kServe, kServingPidBase + worker,
-                          1);
-    result = serving_cores_[worker]->Serve(ticket.seed);
-  }
-  flow_.queries_served->Add(1);
-  if (options_.telemetry != nullptr) {
-    const std::int64_t t1 = wall_clock_.NowMicros();
-    const std::uint64_t bytes = result.TotalNodes() * sizeof(SampledSubgraph::Node) +
-                                result.features.arena_floats() * sizeof(float);
-    // The hub scores SLO against the per-query *budget* (latency vs
-    // deadline-minus-enqueue), queue wait included.
-    const std::int64_t budget = ticket.deadline_us - ticket.enqueue_us;
-    options_.telemetry->RecordQuery(worker, t1, static_cast<std::uint64_t>(t1 - t0), bytes,
-                                    budget > 0 ? static_cast<std::uint64_t>(budget) : 0);
-  }
+  // The hub scores SLO against the per-query *budget* (latency vs
+  // deadline-minus-enqueue), queue wait included.
+  ServeOn(worker, ticket.seed, ticket.deadline_us - ticket.enqueue_us, result);
   admission_queues_[worker]->NoteServed(ticket.seed);
   queries_pumped_.fetch_add(1, std::memory_order_release);
 }

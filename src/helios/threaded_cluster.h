@@ -64,7 +64,6 @@ inline constexpr std::uint32_t kServingPidBase = 1000;
 
 struct ClusterOptions {
   ShardMap map;                       // M, S, N
-  std::size_t poll_batch = 512;       // records per poll
   std::uint64_t seed = 42;
   graph::Timestamp ttl = 0;           // 0 disables TTL pruning
   kv::KvOptions serving_kv;           // serving cache backing store
@@ -108,7 +107,9 @@ struct ClusterOptions {
   // bound to a segment store at <dir>/mqlog.hstore before topics are
   // created, so group-committed updates/samples records and consumer
   // offsets survive a process restart (a fresh cluster over the same dir
-  // restores them). Empty (the default) keeps the broker memory-only.
+  // restores them). Empty (the default) keeps the broker memory-only. A
+  // directory that cannot be created, or a store that cannot open or bind,
+  // stops the process (exit 2) naming the directory and the reason.
   std::string durable_log_dir;
 };
 
@@ -307,6 +308,12 @@ class ThreadedCluster {
   void MonitorLoop();
   void QueryPumpLoop();
   void ServeTicket(std::uint32_t worker, const QueryTicket& ticket);
+  // The serve body of Serve() and ServeTicket(): ServeInto on `worker`
+  // with the calling thread's scratch, under the serve span, counted in
+  // cluster.queries_served and, with a telemetry hub, recorded there
+  // against `budget_us` (0 = no SLO budget).
+  void ServeOn(std::uint32_t worker, graph::VertexId seed, std::int64_t budget_us,
+               SampledSubgraph& out);
 
   QueryPlan plan_;
   ClusterOptions options_;

@@ -2,7 +2,7 @@
 //
 // std::function's type erasure heap-allocates when a lambda's captures
 // outgrow the small-buffer optimisation (~2 pointers in libstdc++), which
-// disqualifies it from the zero-allocation read path: a Serve() call builds
+// disqualifies it from the zero-allocation read path: a ServeInto() call builds
 // a capture-rich callback per KV batch. FunctionRef erases through a plain
 // (object pointer, trampoline pointer) pair — never owns, never allocates,
 // trivially copyable. The referenced callable must outlive the FunctionRef,

@@ -3,9 +3,13 @@
 // ground-truth dynamic graph oracle.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "gen/datasets.h"
@@ -300,6 +304,21 @@ TEST_F(ClusterTest, DurableLogDirPersistsBrokerLogAcrossClusters) {
   std::filesystem::remove_all(dir);
 }
 
+// Asking for a durable log that cannot open stops the process with the
+// directory named, instead of running memory-only.
+TEST(ClusterDeathTest, UnopenableDurableLogDirExits) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto file = std::filesystem::temp_directory_path() /
+                    ("helios_cluster_not_a_dir_" + std::to_string(::getpid()));
+  std::ofstream(file) << "a regular file";
+  ClusterOptions options;
+  options.map = {1, 1, 1};
+  options.durable_log_dir = (file / "mqlog").string();
+  EXPECT_EXIT(ThreadedCluster(Plan(Strategy::kTopK), options), ::testing::ExitedWithCode(2),
+              "durable log .*helios_cluster_not_a_dir_.*/mqlog: cannot create");
+  std::filesystem::remove(file);
+}
+
 TEST_F(ClusterTest, RestoreFailsOnMissingDirectory) {
   ClusterOptions options;
   options.map = {1, 1, 1};
@@ -403,6 +422,32 @@ TEST_F(ClusterTest, EdgePlacementByDest) {
 // ---------------------------------------------------------------------------
 // Admission front door + computation-reuse tier at the cluster level
 // (docs/PERF.md "Computation reuse & admission").
+
+// Caller threads serve while the admission pump serves tickets: each thread
+// assembles its queries in its own serve scratch, so none is shared (the
+// TSan CI job runs this).
+TEST_F(ClusterTest, CallerThreadsServeWhileAdmissionPumpServes) {
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+  options.enable_admission = true;
+  ThreadedCluster cluster(Plan(Strategy::kTopK), options);
+  cluster.Start();
+  RunStream(cluster);
+
+  std::thread caller([&] {
+    for (std::uint64_t u = 0; u < 100; ++u) cluster.Serve(MakeVertexId(0, u));
+  });
+  const std::int64_t deadline = util::NowMicros() + 1'000'000;
+  for (std::uint64_t u = 0; u < 100; ++u) {
+    EXPECT_EQ(cluster.SubmitQuery(MakeVertexId(0, u), deadline),
+              AdmissionQueue::Outcome::kAdmitted);
+    EXPECT_EQ(cluster.Serve(MakeVertexId(0, u)).seed, MakeVertexId(0, u));
+  }
+  caller.join();
+  cluster.WaitForQueryIdle();
+  EXPECT_EQ(cluster.Stats().queries_served, 300u);
+  cluster.Stop();
+}
 
 TEST_F(ClusterTest, AdmissionFrontDoorServesRoutedQueries) {
   ClusterOptions options;

@@ -20,7 +20,7 @@ graph::GraphSchema Schema() {
 }
 
 TEST(Coordinator, RegistersAndDecomposesDslQuery) {
-  Coordinator coordinator(ShardMap{2, 2, 2});
+  Coordinator coordinator;
   EXPECT_FALSE(coordinator.plan().has_value());
   auto plan = coordinator.RegisterQuery(
       "g.V('User').outV('Click').sample(25).by('Random')"
@@ -33,7 +33,7 @@ TEST(Coordinator, RegistersAndDecomposesDslQuery) {
 }
 
 TEST(Coordinator, RejectsBadQueryAndKeepsOld) {
-  Coordinator coordinator(ShardMap{1, 1, 1});
+  Coordinator coordinator;
   ASSERT_TRUE(coordinator
                   .RegisterQuery("g.V('User').outV('Click').sample(2).by('Random')", Schema(),
                                  "good")

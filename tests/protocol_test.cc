@@ -5,7 +5,7 @@
 // query-aware cache correct:
 //
 //   I1 (coverage)   — for every seed, the cache holds exactly the cells
-//                     reachable through the current sample tree, so Serve()
+//                     reachable through the current sample tree, so ServeInto()
 //                     finds no missing cells;
 //   I2 (truth)      — every cached cell equals the owner shard's reservoir
 //                     cell at quiescence;
@@ -27,6 +27,7 @@
 #include "helios/sampling_core.h"
 #include "helios/serving_core.h"
 #include "util/rng.h"
+#include "serve_fresh.h"
 
 namespace helios {
 namespace {
@@ -175,12 +176,12 @@ TEST_P(ProtocolSweep, CacheMatchesGroundTruthAtQuiescence) {
     }
   }
 
-  // ---- I1 + I2: Serve() assembles the exact ground-truth tree.
+  // ---- I1 + I2: ServeInto() assembles the exact ground-truth tree.
   std::uint64_t seeds_with_samples = 0;
   for (std::uint64_t u = 0; u < p.users; ++u) {
     const auto seed = MakeVertexId(0, u);
     const auto truth = mesh.TrueTree(seed);
-    const auto result = mesh.Serving(map.ServingWorkerOf(seed)).Serve(seed);
+    const auto result = ServeFresh(mesh.Serving(map.ServingWorkerOf(seed)), seed);
     EXPECT_EQ(result.missing_cells, 0u) << "seed " << u;
     // Layer-by-layer set equality (the cache can serve nothing else).
     std::set<graph::VertexId> served_hop1, served_hop2;
@@ -241,7 +242,7 @@ TEST(Protocol, MinimalityAfterChurn) {
   for (std::uint64_t i = 0; i < 49; ++i) {
     EXPECT_FALSE(cache.HasCell(2, MakeVertexId(1, i))) << "stale cell " << i;
   }
-  const auto result = cache.Serve(user);
+  const auto result = ServeFresh(cache, user);
   ASSERT_EQ(result.layers[1].size(), 1u);
   EXPECT_EQ(result.layers[1][0].vertex, MakeVertexId(1, 49));
   ASSERT_EQ(result.layers[2].size(), 1u);
@@ -298,7 +299,7 @@ TEST(Protocol, DeltaStreamReconstructsCellExactly) {
   std::multiset<graph::VertexId> truth;
   for (const auto& e : cell->samples()) truth.insert(e.dst);
 
-  const auto result = mesh.Serving(0).Serve(user);
+  const auto result = ServeFresh(mesh.Serving(0), user);
   std::multiset<graph::VertexId> cached;
   for (const auto& n : result.layers[1]) cached.insert(n.vertex);
   EXPECT_EQ(cached, truth);

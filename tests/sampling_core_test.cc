@@ -10,6 +10,7 @@
 #include "gen/datasets.h"
 #include "helios/sampling_core.h"
 #include "helios/serving_core.h"
+#include "serve_fresh.h"
 
 namespace helios {
 namespace {
@@ -162,7 +163,7 @@ TEST(SamplingCore, SeedSelfSubscribesAndPushesFirstSamples) {
 
   mesh.Ingest(Edge(0, user, MakeVertexId(1, 1), 10));
   // The (delta) dissemination materializes the cell at the owning worker.
-  const auto served = mesh.View(sew).Serve(user);
+  const auto served = ServeFresh(mesh.View(sew), user);
   ASSERT_EQ(served.layers[1].size(), 1u);
   EXPECT_EQ(served.layers[1][0].vertex, MakeVertexId(1, 1));
   // No other serving worker got anything for this seed.
@@ -213,7 +214,7 @@ TEST(SamplingCore, Figure7EvictionFlow) {
   EXPECT_NE(mesh.Latest(0, ServingMessage::Kind::kRetract, v3, 2), nullptr);
   EXPECT_NE(mesh.Latest(0, ServingMessage::Kind::kSample, v4, 2), nullptr);
   // The refreshed Q1 cell (after the delta) names V4 only.
-  const auto served = mesh.View(0).Serve(v1);
+  const auto served = ServeFresh(mesh.View(0), v1);
   ASSERT_EQ(served.layers[1].size(), 1u);
   EXPECT_EQ(served.layers[1][0].vertex, v4);
 }

@@ -15,6 +15,7 @@
 #include "helios/serving_core.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "serve_fresh.h"
 
 namespace helios {
 namespace {
@@ -67,7 +68,7 @@ TEST(ServingCore, AssemblesFullTwoHopResult) {
     core.Apply(ServingMessage::Of(Feat(v, static_cast<float>(v % 100))));
   }
 
-  const auto result = core.Serve(user);
+  const auto result = ServeFresh(core, user);
   EXPECT_EQ(result.seed, user);
   ASSERT_EQ(result.layers.size(), 3u);
   EXPECT_EQ(result.layers[0].size(), 1u);
@@ -94,7 +95,7 @@ TEST(ServingCore, LookupCountsMatchPlanBounds) {
   core.Apply(ServingMessage::Of(Cell(1, user, {i1, i2})));
   core.Apply(ServingMessage::Of(Cell(2, i1, {MakeVertexId(1, 11), MakeVertexId(1, 12)})));
   core.Apply(ServingMessage::Of(Cell(2, i2, {MakeVertexId(1, 13), MakeVertexId(1, 14)})));
-  const auto result = core.Serve(user);
+  const auto result = ServeFresh(core, user);
   // Full fan-out: lookups equal the §6 formulas exactly.
   EXPECT_EQ(result.sample_lookups, plan.SampleTableLookups());
   EXPECT_EQ(result.feature_lookups, plan.FeatureTableLookups());
@@ -104,14 +105,14 @@ TEST(ServingCore, MissingCellsDegradeGracefully) {
   ServingCore core(Plan(), 0);
   const auto user = MakeVertexId(0, 1);
   // Nothing cached at all: empty layers, 1 missing cell, seed feature miss.
-  auto result = core.Serve(user);
+  auto result = ServeFresh(core, user);
   EXPECT_EQ(result.layers[1].size(), 0u);
   EXPECT_EQ(result.missing_cells, 1u);
   EXPECT_EQ(result.missing_features, 1u);
 
   // Partial: first hop present, second missing.
   core.Apply(ServingMessage::Of(Cell(1, user, {MakeVertexId(1, 1)})));
-  result = core.Serve(user);
+  result = ServeFresh(core, user);
   EXPECT_EQ(result.layers[1].size(), 1u);
   EXPECT_EQ(result.layers[2].size(), 0u);
   EXPECT_EQ(result.missing_cells, 1u);  // the level-2 cell
@@ -122,7 +123,7 @@ TEST(ServingCore, SampleUpdateOverwritesCell) {
   const auto user = MakeVertexId(0, 1);
   core.Apply(ServingMessage::Of(Cell(1, user, {MakeVertexId(1, 1)})));
   core.Apply(ServingMessage::Of(Cell(1, user, {MakeVertexId(1, 2), MakeVertexId(1, 3)})));
-  const auto result = core.Serve(user);
+  const auto result = ServeFresh(core, user);
   ASSERT_EQ(result.layers[1].size(), 2u);
   EXPECT_EQ(result.layers[1][0].vertex, MakeVertexId(1, 2));
 }
@@ -151,7 +152,7 @@ TEST(ServingCore, IdempotentApply) {
   const auto msg = ServingMessage::Of(Cell(1, user, {MakeVertexId(1, 1)}));
   core.Apply(msg);
   core.Apply(msg);  // duplicate delivery (at-least-once queue)
-  const auto result = core.Serve(user);
+  const auto result = ServeFresh(core, user);
   EXPECT_EQ(result.layers[1].size(), 1u);
 }
 
@@ -162,7 +163,7 @@ TEST(ServingCore, StatsTrackAppliesAndMisses) {
   core.Apply(ServingMessage::Of(Cell(1, user, {MakeVertexId(1, 1)}, /*ts=*/77)));
   core.Apply(ServingMessage::Of(Feat(user, 1.f)));
   core.Apply(ServingMessage::Of(Retract{1, MakeVertexId(0, 9)}));
-  core.Serve(user);
+  ServeFresh(core, user);
   const auto& stats = core.stats();
   EXPECT_EQ(stats.sample_updates_applied, 1u);
   EXPECT_EQ(stats.feature_updates_applied, 1u);
@@ -210,7 +211,7 @@ TEST(ServingCore, HybridModeSpillsToDiskAndStillServes) {
   // All queries still assemble completely (leaf features may be absent —
   // we never pushed features for the 1000+ leaves).
   for (std::uint64_t u = 0; u < 200; ++u) {
-    const auto result = core.Serve(MakeVertexId(0, u));
+    const auto result = ServeFresh(core, MakeVertexId(0, u));
     EXPECT_EQ(result.missing_cells, 0u) << u;
     EXPECT_EQ(result.layers[1].size(), 1u);
     EXPECT_EQ(result.layers[2].size(), 1u);
@@ -303,7 +304,7 @@ TEST(ServingCore, DeltaPatchMatchesReferenceModel) {
   core.Apply(ServingMessage::Of(Delta(1, user, item(6), 14, /*evicted=*/item(99))));
   model_apply(item(6), 14, item(99));
 
-  const auto result = core.Serve(user);
+  const auto result = ServeFresh(core, user);
   ASSERT_EQ(result.layers[1].size(), model.size());
   for (std::size_t i = 0; i < model.size(); ++i) {
     EXPECT_EQ(result.layers[1][i].vertex, model[i].first) << i;
@@ -314,7 +315,7 @@ TEST(ServingCore, DeltaPatchMatchesReferenceModel) {
   const auto other = MakeVertexId(0, 2);
   core.Apply(ServingMessage::Of(Delta(1, other, item(42), 20)));
   EXPECT_TRUE(core.HasCell(1, other));
-  const auto r2 = core.Serve(other);
+  const auto r2 = ServeFresh(core, other);
   ASSERT_EQ(r2.layers[1].size(), 1u);
   EXPECT_EQ(r2.layers[1][0].vertex, item(42));
 
@@ -326,7 +327,7 @@ TEST(ServingCore, DeltaPatchMatchesReferenceModel) {
   core.Apply(ServingMessage::Of(std::move(multi)));
   model_apply(item(7), 15, item(4));
   model_apply(item(8), 16, item(5));
-  const auto r3 = core.Serve(user);
+  const auto r3 = ServeFresh(core, user);
   ASSERT_EQ(r3.layers[1].size(), model.size());
   for (std::size_t i = 0; i < model.size(); ++i) {
     EXPECT_EQ(r3.layers[1][i].vertex, model[i].first) << i;
@@ -348,7 +349,7 @@ TEST_P(FanoutSweep, LayerSizesBoundedByFanouts) {
     for (std::uint32_t j = 0; j < f2; ++j) hop2.push_back(MakeVertexId(1, 100 + i * f2 + j));
     core.Apply(ServingMessage::Of(Cell(2, hop1[i], hop2)));
   }
-  const auto result = core.Serve(user);
+  const auto result = ServeFresh(core, user);
   EXPECT_EQ(result.layers[1].size(), f1);
   EXPECT_EQ(result.layers[2].size(), static_cast<std::size_t>(f1) * f2);
 }
@@ -489,7 +490,7 @@ TEST(ServingCore, ServeMatchesCopyingReferenceOnRandomWorkloads) {
     for (std::uint64_t u = 0; u < universe; ++u) {
       const auto seed = MakeVertexId(0, u);
       const auto want = ReferenceServe(core, seed);
-      ExpectSameResult(core.Serve(seed), want);
+      ExpectSameResult(ServeFresh(core, seed), want);
       core.ServeInto(seed, reused, scratch);
       ExpectSameResult(reused, want);
     }
@@ -702,7 +703,7 @@ TEST(ServingCore, Fp32ServeBitIdenticalAcrossDispatchLevels) {
       core.Apply(ServingMessage::Of(Feat(user, 0.137f * static_cast<float>(u + 1))));
       core.Apply(ServingMessage::Of(Feat(item, -2.5f / static_cast<float>(u + 1))));
     }
-    results.push_back(core.Serve(MakeVertexId(0, 3)));
+    results.push_back(ServeFresh(core, MakeVertexId(0, 3)));
     util::simd::ResetSimdLevel();
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -735,7 +736,7 @@ TEST(ServingCore, QuantizedFeaturesServeWithinErrorBounds) {
       fu.feature = f;
       core.Apply(ServingMessage::Of(fu));
     }
-    const auto out = core.Serve(user);
+    const auto out = ServeFresh(core, user);
     for (const auto& [v, f] : truth) {
       const auto got = out.features.Find(v);
       ASSERT_EQ(got.size(), f.size()) << FeatureFormatName(format) << " v=" << v;
@@ -801,12 +802,12 @@ TEST(ServingCore, TruncatedCellsCountedNotSilentlyClamped) {
   w.PutF32(1.0f);
   core.PutRawCell(2, i1, w.Take());
 
-  const auto out = core.Serve(user);
+  const auto out = ServeFresh(core, user);
   EXPECT_EQ(out.bad_cells, 1u);
   EXPECT_EQ(out.missing_cells, 1u);           // bad ⇒ also missing
   EXPECT_EQ(out.layers[2].size(), 1u);        // only i2's intact cell expands
   EXPECT_EQ(core.stats().bad_cells, 1u);      // exported counter advanced
-  core.Serve(user);
+  ServeFresh(core, user);
   EXPECT_EQ(core.stats().bad_cells, 2u);      // counts per occurrence
 }
 
@@ -1067,6 +1068,85 @@ TEST(ServingCore, StalenessBoundForcesRecomputeOnAgedEntries) {
   EXPECT_EQ(r.cache_hits, 2u);
   const auto snap = core.metrics().TakeSnapshot();
   EXPECT_EQ(snap.CounterTotal("serving.cache.stale_recompute"), 2u);
+}
+
+// Both serve paths' per-query tallies and serving.* counter deltas, against
+// hand-computed values on one graph with a truncated hop-2 cell, a missing
+// child feature and a missing grandchild feature:
+//   user -> {i1, i2};  i1 -> <truncated>;  i2 -> {j1, j2};  no f(i1), f(j2)
+TEST(ServingCore, BothServePathsCountMissesBadCellsAndLookups) {
+  ServingCore::Options opt;
+  opt.aggregate_cache_entries = 64;
+  ServingCore core(Plan(), 0, opt);
+  const auto user = MakeVertexId(0, 1);
+  const auto i1 = MakeVertexId(1, 1), i2 = MakeVertexId(1, 2);
+  const auto j1 = MakeVertexId(1, 11), j2 = MakeVertexId(1, 12);
+  core.Apply(ServingMessage::Of(Cell(1, user, {i1, i2})));
+  core.Apply(ServingMessage::Of(Cell(2, i2, {j1, j2})));
+  graph::ByteWriter w;  // claims 2 records, holds none
+  w.PutI64(1);
+  w.PutU32(2);
+  core.PutRawCell(2, i1, w.Take());
+  for (auto v : {user, i2, j1}) core.Apply(ServingMessage::Of(Feat(v, 1.f)));
+
+  struct Counters {
+    std::uint64_t queries, miss_cells, miss_features, bad;
+  };
+  auto counters = [&] {
+    const auto snap = core.metrics().TakeSnapshot();
+    return Counters{snap.CounterTotal("serving.queries_served"),
+                    snap.CounterTotal("serving.cache_miss_cells"),
+                    snap.CounterTotal("serving.cache_miss_features"),
+                    snap.CounterTotal("serving.bad_cells")};
+  };
+  auto expect_delta = [&](const Counters& before, std::uint64_t miss_cells,
+                          std::uint64_t miss_features, std::uint64_t bad) {
+    const Counters after = counters();
+    EXPECT_EQ(after.queries - before.queries, 1u);
+    EXPECT_EQ(after.miss_cells - before.miss_cells, miss_cells);
+    EXPECT_EQ(after.miss_features - before.miss_features, miss_features);
+    EXPECT_EQ(after.bad - before.bad, bad);
+  };
+  ServeScratch scratch;
+
+  // Plain serve: cells of user, i1, i2; features of the 5 distinct vertices.
+  Counters before = counters();
+  SampledSubgraph sub;
+  core.ServeInto(user, sub, scratch);
+  EXPECT_EQ(sub.sample_lookups, 3u);
+  EXPECT_EQ(sub.feature_lookups, 5u);
+  EXPECT_EQ(sub.missing_cells, 1u);     // i1's truncated cell
+  EXPECT_EQ(sub.bad_cells, 1u);
+  EXPECT_EQ(sub.missing_features, 2u);  // i1, j2
+  EXPECT_EQ(sub.TotalNodes(), 5u);      // user + {i1, i2} + {j1, j2}
+  expect_delta(before, 1, 2, 1);
+
+  // Cold cache-assisted serve: both children miss, so it reads the same
+  // cells; grandchild features {j1, j2}, then user + children.
+  before = counters();
+  AggregateServeResult agg;
+  ASSERT_TRUE(core.ServeAggregatesInto(user, 4, 1, agg, scratch));
+  EXPECT_EQ(agg.cache_misses, 2u);
+  EXPECT_EQ(agg.sample_lookups, 3u);
+  EXPECT_EQ(agg.feature_lookups, 5u);
+  EXPECT_EQ(agg.missing_cells, 1u);
+  EXPECT_EQ(agg.bad_cells, 1u);
+  EXPECT_EQ(agg.missing_features, 2u);  // j2, i1
+  EXPECT_EQ(agg.nodes_touched, 5u);
+  expect_delta(before, 1, 2, 1);
+
+  // Warm: both aggregates hit, so only the seed cell and the features of
+  // user + children are read.
+  before = counters();
+  ASSERT_TRUE(core.ServeAggregatesInto(user, 4, 1, agg, scratch));
+  EXPECT_EQ(agg.cache_hits, 2u);
+  EXPECT_EQ(agg.sample_lookups, 1u);
+  EXPECT_EQ(agg.feature_lookups, 3u);
+  EXPECT_EQ(agg.missing_cells, 0u);
+  EXPECT_EQ(agg.bad_cells, 0u);
+  EXPECT_EQ(agg.missing_features, 1u);  // i1
+  EXPECT_EQ(agg.nodes_touched, 3u);
+  expect_delta(before, 0, 1, 0);
 }
 
 }  // namespace
