@@ -4,13 +4,14 @@
 // DiurnalArrivals) and route shard -> node through a versioned
 // elastic::ShardMap placement. A control loop runs every
 // decision_interval_us: obs::TelemetryHub::WindowLoads feeds
-// elastic::Rebalancer::Tick, and the resulting Plan is executed through
-// elastic::ShardMigrator — checkpoint (a real SamplingShardCore::Serialize),
-// wire transfer on the SimCluster NIC, install and epoch bump through the
-// node engine's ShardStep::Install (the threaded runtime's install), map
-// flip, and a destination-side cutover pause. A failed install aborts the
-// migration and is counted (ElasticReport::migrations_failed). Node adds and
-// drain-then-retire follow the plan's target_nodes / drain lists.
+// elastic::Rebalancer::Tick, and the resulting Plan is executed through the
+// control plane's migration steps (helios/control_plane.h, the threaded
+// runtime's): checkpoint (a real SamplingShardCore::Serialize), wire transfer
+// on the SimCluster NIC, install and epoch bump under the per-shard epoch
+// rule, a destination-side cutover pause, and the map flip. A failed install
+// aborts the migration and is counted (ElasticReport::migrations_failed).
+// Node adds and drain-then-retire follow the plan's target_nodes / drain
+// lists.
 //
 // Parity contract: every response payload is *executed* (ServeInto) and
 // folded into an FNV-1a hash. The arrival times, seed draws, and service
@@ -26,8 +27,7 @@
 #include <functional>
 #include <memory>
 
-#include "helios/node_engine.h"
-#include "util/logging.h"
+#include "helios/control_plane.h"
 #include "util/rng.h"
 
 namespace helios::bench {
@@ -118,9 +118,30 @@ HeliosDeployment::ElasticReport HeliosDeployment::EmulateElastic(
     trace->SetProcessName(1000, "elastic-control-plane");
   }
 
-  // Placement, migration ledger, policy, node lifecycle, load gauges.
-  elastic::ShardMap placement = elastic::ShardMap::Striped(shards, spec.initial_nodes);
-  elastic::ShardMigrator migrator({spec.max_concurrent_migrations, &registry_}, &placement);
+  // Placement and migration ledger (the control plane's), policy, node
+  // lifecycle, load gauges. A migration installs into the deployment's core
+  // slot; the serving phase appends no update log, so the replay tail is
+  // empty and the epoch bump lands at once.
+  obs::FunctionClock virtual_clock([&env] { return env.now(); });
+  ControlPlane::Driver driver;
+  driver.new_step = [&](std::uint32_t s, std::uint32_t node, ShardLedger& ledger) {
+    return std::make_unique<ShardStep>(
+        std::make_unique<SamplingShardCore>(plan_, map_, s, config_.seed,
+                                            SamplingShardCore::Options{0, &registry_}),
+        ShardStep::Wiring{&registry_, &virtual_clock, nullptr, nullptr, node, &ledger});
+  };
+  driver.snapshot = [&](std::uint32_t s, graph::ByteWriter& w) {
+    shards_[s]->Serialize(w);
+    return shards_[s]->applied_offset();
+  };
+  driver.adopt = [&](std::uint32_t s, std::uint32_t, std::unique_ptr<ShardStep> step,
+                     util::Nanos) { shards_[s] = step->TakeCore(); };
+  ControlPlane plane(
+      {max_nodes, elastic::ShardMap::Striped(shards, spec.initial_nodes).Current()->owner,
+       spec.max_concurrent_migrations, &registry_, &virtual_clock},
+      std::move(driver));
+  elastic::ShardMap& placement = plane.placement();
+  elastic::ShardMigrator& migrator = plane.migrator();
   elastic::RebalancerOptions ropt;
   ropt.node_capacity_qps =
       spec.node_capacity_qps * (spec.policy_headroom > 0 ? spec.policy_headroom : 1.0);
@@ -200,58 +221,26 @@ HeliosDeployment::ElasticReport HeliosDeployment::EmulateElastic(
   };
   arrive_at(arrivals.NextAfter(0));
 
-  // ---- migration mechanics ---------------------------------------------
-  // Per-shard install state kept across the shard's incarnations, and the
-  // node engine's wiring on virtual time (node_engine.h).
-  auto ledgers = std::make_unique<ShardLedger[]>(shards);
-  obs::FunctionClock virtual_clock([&env] { return env.now(); });
+  // ---- migration ---------------------------------------------------------
   auto run_migration = [&](const elastic::MigrationOrder& m) {
     if (placement.Current()->OwnerOf(m.shard) != m.from) return;
     if (m.to >= max_nodes || nodes.active[m.to] == 0 || nodes.draining[m.to] != 0) return;
-    const std::uint64_t id = migrator.Begin(m.shard, m.from, m.to, env.now());
+    const std::uint64_t id = plane.BeginMigration(m.shard, m.to);
     if (id == 0) return;
     rebalancer.NoteMigration(m.shard, env.now());
     const std::int64_t started = env.now();
-    // Checkpoint: the source really serializes the shard, and the blob's
-    // true size pays the wire.
-    auto blob = std::make_shared<std::string>();
-    {
-      graph::ByteWriter w;
-      shards_[m.shard]->Serialize(w);
-      *blob = w.Take();
-    }
-    migrator.NoteCheckpoint(id, shards_[m.shard]->applied_offset(),
-                            static_cast<std::uint64_t>(blob->size()));
+    // The source really serializes the shard; the blob's true size pays the
+    // wire.
+    auto blob = std::make_shared<std::string>(plane.CheckpointMigration(id));
     report.ckpt_bytes_moved += blob->size();
-    migrator.Advance(id, elastic::MigrationState::kTransferring);
     cluster.Send(m.from, m.to, blob->size(), [&, id, m, blob, started] {
-      // Install: a fresh core restores from the checkpoint through the
-      // engine, which bumps it above the checkpoint's epoch. The serving
-      // phase appends no update log, so the replay tail is empty and the
-      // bump lands at once.
-      migrator.Advance(id, elastic::MigrationState::kReplaying);
-      ShardStep step(std::make_unique<SamplingShardCore>(
-                         plan_, map_, m.shard, config_.seed,
-                         SamplingShardCore::Options{0, &registry_}),
-                     ShardStep::Wiring{&registry_, &virtual_clock, nullptr, nullptr, m.to,
-                                       &ledgers[m.shard]});
-      const util::Status installed = step.Install(blob.get(), 0, 0);
-      if (!installed.ok()) {
-        HLOG(kError, "elastic") << "migration " << id << ": " << installed.message();
-        migrator.Abort(id, env.now());
+      if (!plane.InstallMigration(id, *blob).ok()) {
         report.migrations_failed++;
         return;
       }
-      migrator.NoteReplayed(id, 0);
-      migrator.NoteEpoch(id, step.core().epoch());
-      migrator.Advance(id, elastic::MigrationState::kEpochBumped);
-      shards_[m.shard] = step.TakeCore();
-      // Cutover: the destination stalls one pause while the flip publishes
-      // and ownership caches flush (the DES twin of
-      // ThreadedCluster::FlushOwnershipCachesLocked).
+      // Cutover: the destination stalls one pause while the flip publishes.
       cluster.cpu(m.to).Enqueue(spec.cutover_pause_us, [&, id, m, started] {
-        migrator.Flip(id);
-        migrator.Complete(id, env.now());
+        plane.FlipMigration(id);
         report.migrations++;
         bucket_migrations[bucket_of(env.now())]++;
         if (trace != nullptr) {

@@ -1,16 +1,21 @@
 #include "bench/harness.h"
 
-#include <algorithm>
-#include <deque>
-#include <map>
-#include <functional>
+#include <unistd.h>
 
-#include "ft/supervisor.h"
+#include <algorithm>
+#include <atomic>
+#include <deque>
+#include <filesystem>
+#include <functional>
+#include <map>
+
 #include "graph/update_codec.h"
+#include "helios/control_plane.h"
 #include "helios/node_engine.h"
 #include "mq/mq.h"
 #include "util/clock.h"
 #include "util/hash.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace helios::bench {
@@ -232,18 +237,83 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
   broker.CreateTopic("updates", S);
   mq::Topic& log = *broker.GetTopic("updates");
 
-  // The node engine (helios/node_engine.h) for this run: one step per
-  // shard, wrapping the deployment's cores (handed back at the end), and
-  // one fenced frame applier per serving worker. The run's log starts at 0.
-  auto ledgers = std::make_unique<ShardLedger[]>(S);
-  auto wiring_of = [&](std::uint32_t s) {
-    return ShardStep::Wiring{&run_registry, &virtual_clock, trace, &trace_ids,
-                             map_.WorkerOfShard(s), &ledgers[s]};
+  // The node engine (helios/node_engine.h) for this run, steered by the
+  // control plane (helios/control_plane.h) exactly as in the threaded
+  // runtime: one step per shard, wrapping the deployment's cores (handed
+  // back at the end), and one fenced frame applier per serving worker. The
+  // run's log starts at 0.
+  std::vector<std::unique_ptr<ShardStep>> steps(S);
+  // Killing a node bumps its shards' incarnation: jobs queued on the dead
+  // incarnation become no-ops, mirroring the threaded runtime's mailbox
+  // drop. A job already in service when the crash lands still completes
+  // (the crash falls between jobs), so every frame the engine counted is
+  // delivered.
+  std::vector<std::uint64_t> incarnation(S, 0);
+  std::vector<char> replaying(M, 0);  // re-admitted, no heartbeats until caught up
+  std::uint32_t pending_shards = 0;
+  bool monitoring = fault_mode;
+  std::function<void(std::uint32_t)> consume;
+  std::unique_ptr<ControlPlane> control;
+  auto wiring = [&](std::uint32_t node, ShardLedger& ledger) {
+    return ShardStep::Wiring{&run_registry, &virtual_clock, trace, &trace_ids, node, &ledger};
   };
-  std::vector<std::unique_ptr<ShardStep>> steps;
+  // Serialize and restore run as real compute at the control plane's call;
+  // the shard's queue is charged their measured cost.
+  auto charge = [&](std::uint32_t s, util::Nanos ns) {
+    shard_queues[s].Submit([ns]() -> util::Nanos { return ns; }, [] {});
+  };
+  ControlPlane::Driver driver;
+  driver.tear_down = [&](std::uint32_t node) {
+    for (std::uint32_t s = 0; s < S; ++s) incarnation[s] += map_.WorkerOfShard(s) == node;
+  };
+  driver.new_step = [&](std::uint32_t s, std::uint32_t node, ShardLedger& ledger) {
+    return std::make_unique<ShardStep>(
+        std::make_unique<SamplingShardCore>(plan_, map_, s, config_.seed,
+                                            SamplingShardCore::Options{0, &registry_}),
+        wiring(node, ledger));
+  };
+  driver.log_end = [&](std::uint32_t s) { return log.partition(s).end_offset(); };
+  driver.snapshot = [&](std::uint32_t s, graph::ByteWriter& w) {
+    charge(s, util::TimeItNanos([&] { steps[s]->core().Serialize(w); }));
+    return steps[s]->core().applied_offset();
+  };
+  driver.adopt = [&](std::uint32_t s, std::uint32_t, std::unique_ptr<ShardStep> step,
+                     util::Nanos install_ns) {
+    // Jobs of the dead incarnation are no-ops, so the new step can take the
+    // slot now; the queue pays for the restore first.
+    steps[s] = std::move(step);
+    charge(s, install_ns);
+  };
+  // One job per shard replays its log tail (the engine bumps into the
+  // granted epoch at the replay target), then a marker; the last marker
+  // re-admits the node.
+  driver.readmit = [&](std::uint32_t node, std::uint32_t epoch) {
+    replaying[node] = 1;
+    for (std::uint32_t s = 0; s < S; ++s) {
+      if (map_.WorkerOfShard(s) != node) continue;
+      ++pending_shards;
+      consume(s);
+      shard_queues[s].Submit([]() -> util::Nanos { return 0; },
+                             [&, node, epoch] {
+                               if (--pending_shards != 0) return;
+                               report.fault_recovered_at_us = env.now();
+                               report.fault_epoch = epoch;
+                               replaying[node] = 0;
+                               control->supervisor()->Heartbeat(node, env.now());
+                               monitoring = false;  // single-fault runs
+                             });
+    }
+  };
+  control = std::make_unique<ControlPlane>(
+      ControlPlane::Options{M,
+                            elastic::ShardMap::Contiguous(S, map_.shards_per_worker).Current()->owner,
+                            /*max_concurrent_migrations=*/2, &run_registry, &virtual_clock,
+                            fault_mode ? fault->detect_timeout_us : 0},
+      std::move(driver));
   for (std::uint32_t s = 0; s < S; ++s) {
     shards_[s]->set_applied_offset(0);
-    steps.push_back(std::make_unique<ShardStep>(std::move(shards_[s]), wiring_of(s)));
+    steps[s] = std::make_unique<ShardStep>(std::move(shards_[s]),
+                                           wiring(map_.WorkerOfShard(s), control->ledger(s)));
   }
   std::vector<FrameApplier> appliers;
   appliers.reserve(N);
@@ -301,15 +371,6 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
   };
 
   // ---- shard jobs
-  //
-  // Killing a node bumps its shards' incarnation: jobs queued on the dead
-  // incarnation become no-ops, mirroring the threaded runtime's mailbox
-  // drop. A job already in service when the crash lands still completes
-  // (the crash falls between jobs), so every frame the engine counted is
-  // delivered.
-  std::vector<std::uint64_t> incarnation(S, 0);
-  std::vector<char> node_dead(M, 0);
-  std::vector<char> node_recovering(M, 0);
   // What one job emitted, routed at its virtual completion.
   struct Emission : ShardStep::Sink {
     std::vector<std::pair<std::uint32_t, std::string>> frames;
@@ -321,7 +382,6 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
       ctrl.emplace_back(shard, delta);
     }
   };
-  std::function<void(std::uint32_t)> consume;
   // Sends records to shard `s`'s node, priced at their encoded size; they
   // join its log on arrival, stamped with their send time, and a job
   // consumes them.
@@ -348,7 +408,7 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
   // log read is the poller's work (its own thread in the threaded
   // runtime), so only the step itself is charged to the shard.
   consume = [&](std::uint32_t s) {
-    if (node_dead[map_.WorkerOfShard(s)] != 0) return;
+    if (!control->NodeAlive(map_.WorkerOfShard(s))) return;
     const std::uint64_t end = log.partition(s).end_offset();
     const std::uint64_t inc = incarnation[s];
     auto em = std::make_shared<Emission>();
@@ -403,115 +463,47 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
     env.ScheduleAfter(obs->telemetry_interval_us, telemetry_tick);
   }
 
-  // ---- crash / detect / restore / replay machinery (fault mode only)
-  std::unique_ptr<ft::Supervisor> supervisor;
+  // ---- crash / detect / restore / replay (fault mode only): the control
+  // plane's checkpoint store, per-shard epoch rule and recover sequence, on
+  // virtual time. Checkpoints live in a directory this run owns.
+  static std::atomic<std::uint64_t> runs{0};
+  const std::filesystem::path ckpt_dir =
+      std::filesystem::temp_directory_path() /
+      ("helios-des-ckpt-" + std::to_string(::getpid()) + "-" + std::to_string(++runs));
+  auto checkpoint = [&] {
+    const util::Status status = control->Checkpoint(ckpt_dir.string());
+    if (!status.ok()) {
+      HLOG(kError, "ft") << "DES checkpoint failed: " << status.ToString();
+    }
+  };
   std::function<void()> beat_all;  // recurring events; must outlive env.Run()
   std::function<void()> tick_supervisor;
-  bool monitoring = fault_mode;
-  std::vector<std::string> ckpt_bytes(S);
-  auto checkpoint_shard = [&](std::uint32_t s) {
-    graph::ByteWriter w;
-    steps[s]->core().Serialize(w);
-    ckpt_bytes[s] = w.Take();
-  };
-  std::uint32_t pending_shards = 0;
   if (fault_mode) {
-    const std::uint32_t victim = fault->victim_node;
-    const std::uint32_t spw = map_.shards_per_worker;
-    // Entry-state snapshot (virtual t=0, before any stream event): recovery
-    // never starts cold even when the crash lands before the first periodic
-    // checkpoint. State built outside this emulation (IngestAll warm-up) is
-    // not log-derived, so a fresh core + full replay would lose it.
-    for (std::uint32_t s = 0; s < S; ++s) checkpoint_shard(s);
-    // Periodic checkpoint: rides the shard queues so the snapshot (and the
-    // applied offset inside it) is consistent with job order.
-    if (fault->checkpoint_at_us > 0) {
-      env.ScheduleAt(fault->checkpoint_at_us, [&] {
-        for (std::uint32_t s = 0; s < S; ++s) {
-          if (node_dead[map_.WorkerOfShard(s)] != 0) continue;
-          const std::uint64_t inc = incarnation[s];
-          shard_queues[s].Submit(
-              [&, s, inc]() -> util::Nanos {
-                if (inc != incarnation[s]) return 0;
-                return util::TimeItNanos([&] { checkpoint_shard(s); });
-              },
-              [] {});
-        }
-      });
-    }
+    // Entry-state checkpoint (virtual t=0, before any stream event):
+    // recovery never starts cold even when the crash lands before the first
+    // periodic one. State built outside this emulation (IngestAll warm-up)
+    // is not log-derived, so a fresh core + full replay would lose it.
+    checkpoint();
+    if (fault->checkpoint_at_us > 0) env.ScheduleAt(fault->checkpoint_at_us, checkpoint);
     // The crash: queued jobs die with the incarnation; the log keeps their
-    // records.
-    env.ScheduleAt(fault->kill_at_us, [&, victim, spw] {
+    // records. The supervisor's Tick detects it and runs the control
+    // plane's recovery, whose readmit re-admits the node.
+    env.ScheduleAt(fault->kill_at_us, [&] {
       report.fault_killed_at_us = env.now();
-      node_dead[victim] = 1;
-      for (std::uint32_t i = 0; i < spw; ++i) ++incarnation[victim * spw + i];
+      control->Kill(fault->victim_node);
     });
-
-    // Recovery hook, invoked by the supervisor's Tick when the victim's
-    // heartbeat ages out. Each shard gets a fresh step installed from its
-    // checkpoint (the deserialize runs here — real compute — and its
-    // measured cost is charged to the shard queue), then one job replays
-    // its log tail; the engine bumps into the granted epoch at the replay
-    // target. A marker per shard follows; the last one re-admits the node.
-    supervisor = std::make_unique<ft::Supervisor>(
-        ft::Supervisor::Options{fault->detect_timeout_us}, &run_registry,
-        [&, spw](std::uint64_t node, std::uint32_t epoch, util::Micros) -> ft::RecoveryReport {
-          ft::RecoveryReport rep;
-          rep.node = node;
-          rep.epoch = epoch;
-          const std::uint32_t n32 = static_cast<std::uint32_t>(node);
-          node_dead[n32] = 0;        // reopen the submission path for replay
-          node_recovering[n32] = 1;  // no heartbeats until caught up
-          pending_shards = spw;
-          for (std::uint32_t i = 0; i < spw; ++i) {
-            const std::uint32_t s = n32 * spw + i;
-            auto fresh = std::make_unique<ShardStep>(
-                std::make_unique<SamplingShardCore>(plan_, map_, s, config_.seed,
-                                                    SamplingShardCore::Options{0, &registry_}),
-                wiring_of(s));
-            const std::uint64_t end = log.partition(s).end_offset();
-            util::Status installed;
-            const util::Nanos restore_ns = util::TimeItNanos(
-                [&] { installed = fresh->Install(&ckpt_bytes[s], end, epoch); });
-            if (!installed.ok()) {
-              rep.error = installed.message();
-              return rep;
-            }
-            ++rep.shards_restored;
-            rep.restore_us += static_cast<util::Micros>(restore_ns / 1000);
-            rep.records_to_replay += end - fresh->core().applied_offset();
-            // Jobs of the dead incarnation are no-ops, so the new step can
-            // take the slot now; the queue pays for the restore first.
-            steps[s] = std::move(fresh);
-            shard_queues[s].Submit([restore_ns]() -> util::Nanos { return restore_ns; }, [] {});
-            consume(s);
-            shard_queues[s].Submit([]() -> util::Nanos { return 0; },
-                                   [&, n32, epoch] {
-                                     if (--pending_shards != 0) return;
-                                     report.fault_recovered_at_us = env.now();
-                                     report.fault_epoch = epoch;
-                                     node_recovering[n32] = 0;
-                                     supervisor->Heartbeat(n32, env.now());
-                                     monitoring = false;  // single-fault runs
-                                   });
-          }
-          rep.ok = true;
-          return rep;
-        });
-    for (std::uint32_t m = 0; m < M; ++m) supervisor->Register(m, 0);
-
-    // Captured by value: the events outlive this block.
+    ft::Supervisor& supervisor = *control->supervisor();
     const sim::SimTime hb_period = std::max<sim::SimTime>(1, fault->detect_timeout_us / 5);
     beat_all = [&, hb_period] {
       if (!monitoring) return;
       for (std::uint32_t m = 0; m < M; ++m) {
-        if (node_dead[m] == 0 && node_recovering[m] == 0) supervisor->Heartbeat(m, env.now());
+        if (control->NodeAlive(m) && replaying[m] == 0) supervisor.Heartbeat(m, env.now());
       }
       env.ScheduleAfter(hb_period, beat_all);
     };
     tick_supervisor = [&, hb_period] {
       if (!monitoring) return;
-      for (const ft::RecoveryReport& r : supervisor->Tick(env.now())) {
+      for (const ft::RecoveryReport& r : supervisor.Tick(env.now())) {
         report.fault_detected_at_us = r.detected_at_us;
       }
       env.ScheduleAfter(hb_period, tick_supervisor);
@@ -521,6 +513,7 @@ IngestReport HeliosDeployment::EmulateIngestion(const std::vector<graph::GraphUp
   }
 
   env.Run();
+  if (fault_mode) std::filesystem::remove_all(ckpt_dir);
   for (std::uint32_t s = 0; s < S; ++s) shards_[s] = steps[s]->TakeCore();
   report.makespan_us = env.now();
   report.throughput_mps =

@@ -102,7 +102,7 @@ struct IngestReport {
 
 // Crash/recovery scenario for the DES runtime: kill one sampling node at a
 // virtual instant, detect via heartbeat supervision on virtual time, restore
-// from the (virtual-time) checkpoint and replay the per-shard durable logs.
+// from the latest committed checkpoint and replay the per-shard durable logs.
 // Single-fault experiments only (monitoring stops after the recovery).
 struct DesFaultSpec {
   std::uint32_t victim_node = 0;           // sampling node to crash
@@ -185,9 +185,12 @@ class HeliosDeployment {
   // `trace` is set, every pipeline stage also lands in the Chrome-trace
   // buffer on virtual time. When `fault` is set, the run additionally
   // crashes fault->victim_node at the configured virtual instant, detects
-  // it by heartbeat supervision, restores from the (virtual-time)
-  // checkpoint, replays the per-shard durable logs with epoch/seq fencing
-  // at the receivers, and fills the fault_* / timeline report fields.
+  // it by heartbeat supervision, and recovers it through the control plane
+  // (helios/control_plane.h) as the threaded runtime does: checkpoints in
+  // the segment store (a run-scoped temporary directory), restore under the
+  // per-shard epoch rule, replay of the per-shard durable logs with
+  // epoch/seq fencing at the receivers. It fills the fault_* / timeline
+  // report fields.
   // `obs` adds windowed telemetry / freshness tracking on virtual time.
   // Tracing additionally mints a causal TraceContext per update and emits
   // flow events stitching sampler-side emission to serving-side apply.

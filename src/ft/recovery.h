@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "util/clock.h"
@@ -35,16 +34,6 @@ struct RecoveryReport {
   util::Micros restore_us = 0;         // checkpoint deserialize + rewind cost
   std::uint64_t shards_restored = 0;
   std::uint64_t records_to_replay = 0;  // log tail scheduled for replay
-};
-
-// Uniform crash/restart surface over both runtimes. ThreadedCluster binds
-// these to KillNode/RestartNode (real thread teardown + state drop); the DES
-// harness binds them to virtual-time crash/restart events. `node` is the
-// runtime's worker index. Returns false if the node id is unknown or the
-// action is not applicable (e.g. restarting a live node).
-struct FaultInjector {
-  std::function<bool(std::uint32_t node)> kill;
-  std::function<bool(std::uint32_t node)> restart;
 };
 
 }  // namespace helios::ft

@@ -100,6 +100,8 @@ class ShardStep {
   // checkpoint.
   util::Status Install(const std::string* checkpoint, std::uint64_t replay_end,
                        std::uint32_t epoch);
+  // The epoch the last Install re-admits the shard under.
+  std::uint32_t granted_epoch() const { return granted_epoch_; }
 
   // Processes log records in offset order and flushes the resulting frames
   // and control deltas to `sink`. Frames break at the counted-through

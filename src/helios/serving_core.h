@@ -111,7 +111,7 @@ struct FeatureKeyBuf {
 // Doubles as the serve path's frontier dedup set: Insert() marks a vertex
 // as seen (one probe, no arena bytes) while the hop decode scatters, and
 // Allocate() later lands the decoded feature in the arena with a single
-// probe — no separate sort+unique pass (ROADMAP item 3).
+// probe — no separate sort+unique pass.
 class FeatureTable {
  public:
   std::size_t size() const { return count_; }

@@ -9,8 +9,9 @@
 // to the samples topic inside the mailbox slice that counted them, so a
 // crash cannot drop a counted frame. Liveness is ft::Supervisor's
 // (supervision_timeout); checkpoints are taken when the caller asks
-// (Checkpoint()). Control-plane
-// subscription deltas ride the destination shard's "updates" partition as
+// (Checkpoint()). Checkpoints, recovery and migration are the control
+// plane's (control_plane.h); this class supplies its mechanics. Subscription
+// deltas ride the destination shard's "updates" partition as
 // tagged records, so each shard consumes exactly one totally-ordered log:
 // processing is deterministic given the log, which is what makes
 // checkpoint-replay recovery (docs/FAULT_TOLERANCE.md) exact, and deltas
@@ -34,13 +35,10 @@
 #include <vector>
 
 #include "actor/actor.h"
-#include "elastic/migrator.h"
-#include "elastic/shard_map.h"
-#include "ft/recovery.h"
-#include "ft/supervisor.h"
 #include "gen/datasets.h"
 #include "graph/types.h"
 #include "helios/admission.h"
+#include "helios/control_plane.h"
 #include "helios/messages.h"
 #include "helios/query.h"
 #include "helios/sampling_core.h"
@@ -48,11 +46,11 @@
 #include "helios/shard_map.h"
 #include "mq/mq.h"
 #include "obs/freshness.h"
-#include "store/segment_store.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
+#include "store/segment_store.h"
 #include "util/histogram.h"
 
 namespace helios {
@@ -125,8 +123,6 @@ struct ClusterStats {
   ServingCore::Stats serving;         // aggregated over workers
 };
 
-struct ShardLedger;
-
 class ThreadedCluster {
  public:
   ThreadedCluster(QueryPlan plan, ClusterOptions options);
@@ -186,9 +182,9 @@ class ThreadedCluster {
   // flipped durable by a single store commit — and remembers `dir` as the
   // recovery source. Shards of dead nodes keep their previous segment
   // (per-shard consistency permits mixed checkpoint ages).
-  util::Status Checkpoint(const std::string& dir);
+  util::Status Checkpoint(const std::string& dir) { return control_.Checkpoint(dir); }
   // Restores shard state from a checkpoint directory (call before Start()).
-  util::Status Restore(const std::string& dir);
+  util::Status Restore(const std::string& dir) { return control_.Restore(dir); }
 
   // ---- fault injection & recovery (docs/FAULT_TOLERANCE.md)
   // Kills sampling worker `node`: its polling actor stops, its shard actors
@@ -197,33 +193,25 @@ class ThreadedCluster {
   // the broker log; a shard slice already running finishes first, so every
   // frame it counted is in the samples topic. Returns false for an unknown
   // or already-dead node.
-  bool KillNode(std::uint32_t node);
+  bool KillNode(std::uint32_t node) { return control_.Kill(node); }
   // Manually restarts a killed node: restores its shards from the latest
   // checkpoint, rewinds the consumer group to the restored offsets, replays
   // the log tail under the old epoch (re-emissions fence at the receivers)
   // and re-admits the node under a freshly granted epoch.
-  bool RestartNode(std::uint32_t node);
-  // Both of the above as the runtime-agnostic injector handle.
-  ft::FaultInjector Injector();
+  bool RestartNode(std::uint32_t node) { return control_.Restart(node); }
 
-  bool NodeAlive(std::uint32_t node) const;
+  bool NodeAlive(std::uint32_t node) const { return control_.NodeAlive(node); }
   // Reports collected from supervisor-driven recoveries (monitor thread).
   std::vector<ft::RecoveryReport> RecoveryReports() const;
   // Null unless ClusterOptions::supervision_timeout is non-zero.
-  ft::Supervisor* supervisor() { return supervisor_.get(); }
+  ft::Supervisor* supervisor() { return control_.supervisor(); }
 
   // ---- elastic scale-out (docs/ELASTICITY.md)
   // Chaos hooks for the migration protocol: each point simulates a crash of
   // the named party at that protocol step; the regular fault machinery
   // (supervisor / RestartNode / ResumeMigrations) must then converge to the
   // same serving bytes as an unfaulted run.
-  enum class MigrationFailPoint : std::uint8_t {
-    kNone = 0,
-    kSourceMidCheckpoint,    // source node dies while serializing the shard
-    kDestMidReplay,          // destination dies while replaying the log tail
-    kCoordinatorBeforeFlip,  // coordinator dies after the epoch bump, before
-                             // the ShardMap flip (ResumeMigrations completes)
-  };
+  using MigrationFailPoint = ControlPlane::FailPoint;
   // Live handoff of one sampling shard to `dst`: checkpoint at the source,
   // install + log replay on the destination under a bumped epoch, then the
   // versioned ShardMap flip re-routes dissemination. Stop-and-copy within
@@ -233,25 +221,27 @@ class ThreadedCluster {
   // (unknown shard/node, dst == src, dead or drained endpoint, or the
   // migrator's max-concurrent budget).
   bool MigrateShard(std::uint32_t shard, std::uint32_t dst,
-                    MigrationFailPoint fail = MigrationFailPoint::kNone);
+                    MigrationFailPoint fail = MigrationFailPoint::kNone) {
+    return control_.Migrate(shard, dst, fail);
+  }
   // Completes migrations stranded between epoch bump and map flip (the
   // coordinator-crash window). Idempotent. Returns how many were completed.
-  std::size_t ResumeMigrations();
+  std::size_t ResumeMigrations() { return control_.ResumeMigrations(); }
   // Drain-then-retire: migrates every shard off `node` (round-robin over
   // the remaining live nodes), then retires its pool and deregisters it
   // from supervision. Returns false if `node` is dead, already drained, or
   // the last node standing.
-  bool DrainNode(std::uint32_t node);
+  bool DrainNode(std::uint32_t node) { return control_.Drain(node); }
   // Re-adds a drained node with a fresh (empty) pool; shards arrive via
   // subsequent MigrateShard calls (scale-up).
-  bool ReviveNode(std::uint32_t node);
-  bool NodeDrained(std::uint32_t node) const;
+  bool ReviveNode(std::uint32_t node) { return control_.Revive(node); }
+  bool NodeDrained(std::uint32_t node) const { return control_.NodeDrained(node); }
   // The versioned shard placement (sampling tier) and lane placement
   // (serving tier) consulted by routing; the migration ledger.
-  elastic::ShardMap& sampling_assignment() { return sampling_assignment_; }
-  const elastic::ShardMap& sampling_assignment() const { return sampling_assignment_; }
+  elastic::ShardMap& sampling_assignment() { return control_.placement(); }
+  const elastic::ShardMap& sampling_assignment() const { return control_.placement(); }
   elastic::ShardMap& serving_assignment() { return serving_assignment_; }
-  elastic::ShardMigrator& migrator() { return *migrator_; }
+  elastic::ShardMigrator& migrator() { return control_.migrator(); }
 
   ClusterStats Stats() const;
   // End-to-end ingestion latency (publish -> applied at serving cache);
@@ -278,33 +268,13 @@ class ThreadedCluster {
   class ServingPollActor;
   class ServingUpdateActor;
 
-  // Unlocked kill/recover bodies (callers hold fault_mutex_).
-  bool KillNodeLocked(std::uint32_t node);
-  ft::RecoveryReport RecoverNode(std::uint32_t node, std::uint32_t epoch);
-  std::uint32_t NextEpochFor(std::uint32_t node);
-  // Strictly-monotonic epoch for shard `s` no matter which node hosts it
-  // next: the receivers' fences are keyed by source shard, so a migrated
-  // shard must never re-enter under an epoch its previous owner already
-  // used. Callers hold fault_mutex_.
-  std::uint32_t NextShardEpochLocked(std::uint32_t s, std::uint32_t node_grant);
-  // The one install sequence of a shard incarnation (RecoverNode and
-  // MigrateShard): a fresh actor on `node` restores `checkpoint` (null =
-  // empty state) and arms replay of the partition tail under `epoch`, the
-  // consumer group rewinds to the restored offset, and the actor takes the
-  // shard's slot. Returns the records to replay; on failure the slot is
-  // untouched. Callers hold fault_mutex_.
-  util::StatusOr<std::uint64_t> InstallShardLocked(std::uint32_t s, std::uint32_t node,
-                                                   const std::string* checkpoint,
-                                                   std::uint32_t epoch);
-  // Replaces node `n`'s polling actor with a fresh one consuming the
-  // partitions the current sampling assignment gives it (callers hold
-  // fault_mutex_; the old poller must already be stopped).
-  void RebuildPollerLocked(std::uint32_t node);
-  // Post-flip ownership-change hygiene: serving-side aggregate caches and
-  // admission hot-seed tables describe the previous owner and must not
-  // serve under the new one.
-  void FlushOwnershipCachesLocked();
-  std::size_t ResumeMigrationsLocked();
+  // The mechanics the control plane drives (ControlPlane::Driver); they run
+  // under the control plane's mutex.
+  ControlPlane::Driver Mechanics();
+  // The shard actors of live nodes, snapshot under the control plane's mutex.
+  std::vector<std::shared_ptr<ShardActor>> LiveShards() const;
+  std::unique_ptr<ShardStep> NewStep(std::uint32_t shard, std::uint32_t node,
+                                     ShardLedger& ledger);
   void MonitorLoop();
   void QueryPumpLoop();
   void ServeTicket(std::uint32_t worker, const QueryTicket& ticket);
@@ -321,6 +291,9 @@ class ThreadedCluster {
   // valid for their whole lifetime.
   obs::MetricsRegistry registry_;
   obs::WallClock wall_clock_;
+  // Placement, liveness, supervision, epochs and the shards' ledgers;
+  // declared before the actors, whose steps point at those ledgers.
+  ControlPlane control_;
   // Mints root TraceContexts for updates entering through the log consumers
   // (used only when options_.trace is set). Salt 1 keeps threaded trace ids
   // disjoint from the DES harness allocators when dumps are merged.
@@ -340,8 +313,8 @@ class ThreadedCluster {
   std::vector<std::unique_ptr<obs::FreshnessTracker>> freshness_;
 
   // Sampling-side actor slots. Slots of a killed node keep the stopped
-  // actors until RecoverNode replaces them (readers skip dead nodes via
-  // node_dead_); mutation and multi-slot reads synchronize on fault_mutex_.
+  // actors until recovery replaces them (readers skip dead nodes); mutation
+  // and multi-slot reads synchronize on control_.mutex().
   std::vector<std::shared_ptr<ShardActor>> shards_;
   std::vector<std::shared_ptr<SamplingPollActor>> sampling_pollers_;
   std::vector<std::shared_ptr<ServingPollActor>> serving_pollers_;
@@ -349,7 +322,7 @@ class ThreadedCluster {
   // Replaced actor incarnations whose pool is (or may be) still running: a
   // queued drain slice captures the actor raw, so the object must outlive
   // any slice that could still touch it. Freed in Stop() after the actor
-  // system joined every pool thread. Guarded by fault_mutex_.
+  // system joined every pool thread. Guarded by control_.mutex().
   std::vector<std::shared_ptr<actor::Actor>> retired_actors_;
   std::vector<std::unique_ptr<ServingCore>> serving_cores_;
 
@@ -360,31 +333,11 @@ class ThreadedCluster {
 
   std::atomic<bool> running_{false};
 
-  // ---- fault-tolerance state
-  std::unique_ptr<ft::Supervisor> supervisor_;
   std::thread monitor_;
-  mutable std::mutex fault_mutex_;               // kill/recover + slot reads
-  std::unique_ptr<std::atomic<bool>[]> node_dead_;          // per sampling worker
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_applied_;  // per shard: log offset applied
-  // Per shard, kept across the shard's incarnations (node_engine.h).
-  std::unique_ptr<ShardLedger[]> ledgers_;
-  std::vector<std::uint32_t> node_epochs_;       // fallback grants (no supervisor)
-  std::string last_checkpoint_dir_;
-
-  // ---- elastic state (docs/ELASTICITY.md)
-  // Versioned shard -> owner placement for the sampling tier. Starts as the
-  // static layout (ShardMap::WorkerOfShard) and diverges under migrations;
-  // every owner lookup in this file goes through it, never through
-  // options_.map.WorkerOfShard.
-  elastic::ShardMap sampling_assignment_;
   // Versioned logical-lane -> physical-worker placement for the serving
   // tier (identity unless rebound; subscription state is keyed by lane).
   elastic::ShardMap serving_assignment_;
-  std::unique_ptr<elastic::ShardMigrator> migrator_;
-  // Highest epoch each shard has entered service under, across all owners
-  // (guarded by fault_mutex_).
-  std::vector<std::uint32_t> shard_epochs_;
-  std::vector<std::uint8_t> node_drained_;  // guarded by fault_mutex_
   mutable std::mutex reports_mutex_;
   std::vector<ft::RecoveryReport> reports_;
   // Cluster-level flow counters, registry-backed ("cluster.*"). The idle

@@ -12,8 +12,8 @@
 // harness writes periodically.
 //
 // Two consumers beyond dashboards:
-//   - the per-query deadline tracker (SLO hit rate) feeds ROADMAP item 2's
-//     admission controller;
+//   - the per-query deadline tracker (SLO hit rate) feeds the SLO-aware
+//     admission controller (helios/admission.h);
 //   - Overloaded() is a health signal the ft Supervisor polls each Tick, so
 //     sustained p99 blowout / SLO collapse surfaces next to failure
 //     detection ("ft.overload_ticks") instead of in a separate pipeline.

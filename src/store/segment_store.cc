@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
@@ -316,11 +317,16 @@ struct SegmentStore::Impl {
     PutU32(out, util::Crc32c(out));
   }
 
+  static util::Status SyncFailed(const char* what) {
+    return util::Status::Internal(std::string("segment store: fdatasync of ") + what +
+                                  " failed: " + std::strerror(errno));
+  }
+
   util::Status CommitLocked() {
     if (!dirty && uncommitted_bytes == 0) return util::Status::Ok();
     if (fd < 0) return util::Status::Internal("store is closed");
     if (options.sync) {
-      ::fdatasync(fd);
+      if (::fdatasync(fd) != 0) return SyncFailed("data");
       stats.fsyncs++;
     }
     std::string meta;
@@ -335,8 +341,10 @@ struct SegmentStore::Impl {
     if (::pwrite(fd, meta.data(), meta.size(), meta_off) != static_cast<ssize_t>(meta.size())) {
       return util::Status::Internal("segment store: metadata write failed");
     }
+    // The copy on disk may now hold seq + 1, but nothing here flips: a
+    // retried commit rewrites the same copy.
     if (options.sync) {
-      ::fdatasync(fd);
+      if (::fdatasync(fd) != 0) return SyncFailed("metadata");
       stats.fsyncs++;
     }
     commit_seq++;

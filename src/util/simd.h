@@ -1,4 +1,4 @@
-// SIMD kernel layer for the serve hot path (ROADMAP item 3).
+// SIMD kernel layer for the serve hot path (docs/PERF.md).
 //
 // Two pieces:
 //

@@ -445,7 +445,7 @@ TEST(ThreadedRecovery, SupervisorAutoRecoversKilledNode) {
   for (const auto& u : updates) cluster.PublishUpdate(u);
   cluster.WaitForIngestIdle();
 
-  ASSERT_TRUE(cluster.Injector().kill(0));
+  ASSERT_TRUE(cluster.KillNode(0));
   EXPECT_FALSE(cluster.NodeAlive(0));
   // The monitor thread must detect the missing heartbeats and bring the
   // node back without any manual restart.
@@ -524,6 +524,70 @@ TEST(DesRecovery, CrashRecoveryMatchesCrashFreeRun) {
   std::uint64_t applied = 0;
   for (const std::uint64_t v : report.applied_timeline) applied += v;
   EXPECT_EQ(report.diss_messages, applied);
+}
+
+// ------------------------------------------------------ both runtimes
+
+// One stream through both runtimes, whose recoveries run through the one
+// control plane (helios/control_plane.h): a threaded cluster and a DES
+// deployment of the same layout (2 sampling nodes x 2 shards, 2 serving
+// workers) serve byte-identical caches crash-free, after a threaded
+// kill/restart, and after a supervised DES recovery.
+TEST(CrossRuntime, CachesMatchCrashFreeAndAfterEitherRuntimesRecovery) {
+  const auto updates = SmallStream();
+  const auto plan = Plan();
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+  bench::HeliosEmuConfig hc;
+  hc.sampling_nodes = 2;
+  hc.sampling_threads = 2;
+  hc.serving_nodes = 2;
+  hc.serving_threads = 2;
+  auto expect_parity = [&](bench::HeliosDeployment& des, ThreadedCluster& threaded,
+                           const char* what) {
+    for (std::uint32_t w = 0; w < options.map.serving_workers; ++w) {
+      const auto want = des.serving_core(w).DumpCache();
+      EXPECT_GT(want.size(), 0u) << what;
+      EXPECT_EQ(want, threaded.DumpServingCache(w)) << what << ", serving worker " << w;
+    }
+  };
+
+  bench::HeliosDeployment des(plan, hc);
+  const auto base = des.EmulateIngestion(updates, 0.05);
+  ThreadedCluster threaded(plan, options);
+  threaded.Start();
+  for (const auto& u : updates) threaded.PublishUpdate(u);
+  threaded.WaitForIngestIdle();
+  expect_parity(des, threaded, "crash-free");
+
+  ThreadedCluster recovered(plan, options);
+  recovered.Start();
+  const std::size_t half = updates.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) recovered.PublishUpdate(updates[i]);
+  recovered.WaitForIngestIdle();
+  const auto dir = CheckpointDir("helios_ft_cross_runtime_ckpt");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(recovered.Checkpoint(dir.string()).ok());
+  for (std::size_t i = half; i < updates.size(); ++i) recovered.PublishUpdate(updates[i]);
+  ASSERT_TRUE(recovered.KillNode(0));
+  ASSERT_TRUE(recovered.RestartNode(0));
+  recovered.WaitForIngestIdle();
+  expect_parity(des, recovered, "threaded kill/restart");
+
+  bench::DesFaultSpec fault;
+  fault.victim_node = 0;
+  fault.checkpoint_at_us = base.makespan_us / 4;
+  fault.kill_at_us = base.makespan_us / 2;
+  fault.detect_timeout_us = std::max<sim::SimTime>(base.makespan_us / 20, 500);
+  bench::HeliosDeployment faulty(plan, hc);
+  const auto report = faulty.EmulateIngestion(updates, 0.05, nullptr, &fault);
+  EXPECT_EQ(report.fault_epoch, 2u);
+  EXPECT_GT(report.fault_updates_replayed, 0u);
+  expect_parity(faulty, threaded, "DES recovery");
+
+  recovered.Stop();
+  threaded.Stop();
+  std::filesystem::remove_all(dir);
 }
 
 
