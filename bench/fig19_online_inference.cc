@@ -22,7 +22,10 @@
 // measured sustainable rate through the SLO-aware admission front door
 // under zipfian query skew: hit-heavy deadline batches drain first out of
 // the computation-reuse tier, overflow sheds (serving.admission.*), and
-// the completed queries' p99 stays bounded instead of collapsing.
+// the completed queries' p99 stays bounded instead of collapsing. The run
+// exits 1, naming the failed check, unless at every rate the admission
+// books balance, the completed p99 is at most 1.5x the deadline, and the
+// 1x rate sheds nothing.
 //
 // Usage: fig19_online_inference [scale=2000] [requests=1500]
 //        [zipf=0.99] [zipf-seed=77] [deadline=20000]
@@ -147,6 +150,7 @@ int main(int argc, char** argv) {
               "p99 slightly above 100ms only at the highest concurrency\n");
 
   // ---- Fig 19b: overload sweep through the admission front door ----
+  int failures = 0;
   {
     const auto skew = bench::QuerySkewFromConfig(config, 0.99);
     const auto hot_seeds = gen::HotKeyBatch(seed_type, population, skew, 10000);
@@ -215,20 +219,42 @@ int main(int argc, char** argv) {
                                                     deadline_us, aopt, &encoder, &overload_hub);
       const std::uint64_t looked =
           std::max<std::uint64_t>(r.cache_hits + r.cache_misses + r.stale_recomputes, 1);
+      const AdmissionQueue::Stats& b = r.books;
       std::printf("%-8.4g %-13.0f %-10.0f %-8.2f %-7.3f %-10.3f %llu/%llu/%llu\n", mult,
                   base_qps * mult, r.qps,
                   static_cast<double>(r.latency_us.P99()) / 1000.0, r.slo_hit_rate,
                   static_cast<double>(r.cache_hits) / static_cast<double>(looked),
-                  static_cast<unsigned long long>(r.shed_full),
-                  static_cast<unsigned long long>(r.shed_overload),
-                  static_cast<unsigned long long>(r.shed_deadline));
+                  static_cast<unsigned long long>(b.shed_full),
+                  static_cast<unsigned long long>(b.shed_overload),
+                  static_cast<unsigned long long>(b.shed_deadline));
+      // Checked at each rate: every offered query is accounted for,
+      // completed queries keep a bounded tail (no queue collapse), and the
+      // sustainable rate sheds nothing.
+      const auto check = [&](bool ok, const char* what) {
+        if (!ok) {
+          std::printf("FAIL at %gx: %s\n", mult, what);
+          ++failures;
+        }
+      };
+      check(b.offered == offered_target &&
+                b.offered == b.admitted + b.shed_full + b.shed_overload &&
+                b.admitted == b.completed + b.shed_deadline,
+            "books (offered = admitted + shed_full + shed_overload, "
+            "admitted = completed + shed_deadline)");
+      check(static_cast<double>(r.latency_us.P99()) <= 1.5 * static_cast<double>(deadline_us),
+            "tail (completed p99 above 1.5x the deadline)");
+      check(mult != 1.0 || b.shed() == 0, "shed (queries shed at the sustainable rate)");
     }
-    std::printf("\nexpected shape: p99 of completed queries stays near the deadline while "
-                "shed counters absorb the overload (no queue collapse)\n");
   }
 
   const auto snapshot = helios.registry().TakeSnapshot();
   bench::DumpObservability(config, &snapshot, &trace_buffer);
   bench::DumpTelemetry(config, snapshots);
+  if (failures != 0) {
+    std::printf("\n%d Fig 19b check(s) FAILED\n", failures);
+    return 1;
+  }
+  std::printf("\nFig 19b checks passed: books balance at every rate, completed p99 within "
+              "1.5x the deadline (no queue collapse), nothing shed at 1x\n");
   return 0;
 }

@@ -91,14 +91,6 @@ graph::VertexId RoutingVertex(const graph::GraphUpdate& u) {
 }
 }  // namespace
 
-std::size_t ResponseBytes(const SampledSubgraph& result) {
-  std::size_t bytes = 64;
-  for (const auto& layer : result.layers) bytes += layer.size() * 12;
-  result.features.ForEach(
-      [&](graph::VertexId, std::span<const float> f) { bytes += 12 + f.size() * 4; });
-  return bytes;
-}
-
 // ============================================================ Helios
 
 HeliosDeployment::HeliosDeployment(QueryPlan plan, HeliosEmuConfig config)
@@ -732,18 +724,7 @@ HeliosDeployment::AdmissionServeReport HeliosDeployment::EmulateAdmissionServing
 
   AdmissionServeReport report;
   // Per-worker front doors on the deployment registry (lane = worker).
-  // Overload probe: the TelemetryHub health signal when wired, else never
-  // (shed_full still bounds the queues) — matching the threaded runtime.
-  std::vector<std::unique_ptr<AdmissionQueue>> queues;
-  for (std::uint32_t w = 0; w < N; ++w) {
-    AdmissionQueue::Options ao = admission;
-    ao.registry = &registry_;
-    ao.lane = std::to_string(w);
-    if (telemetry != nullptr && !ao.overloaded) {
-      ao.overloaded = [telemetry] { return telemetry->Overloaded(); };
-    }
-    queues.push_back(std::make_unique<AdmissionQueue>(std::move(ao)));
-  }
+  const auto queues = AdmissionQueue::ForWorkers(N, admission, &registry_, telemetry);
 
   const bool cached = encoder != nullptr && config_.aggregate_cache_entries > 0;
   std::vector<ServeScratch> scratch(N);
@@ -751,24 +732,20 @@ HeliosDeployment::AdmissionServeReport HeliosDeployment::EmulateAdmissionServing
   std::vector<gnn::CachedEmbedScratch> cscratch(cached ? N : 0);
   std::vector<std::vector<float>> embeds(cached ? N : 0);
 
-  std::uint64_t completed = 0;
-  std::uint64_t completed_in_slo = 0;
   sim::SimTime last_completion = 0;
   std::vector<char> busy(N, 0);
-  std::vector<std::deque<QueryTicket>> pendings(N);
-  std::vector<QueryTicket> batch_buf;
+  std::vector<std::vector<QueryTicket>> popped(N);  // a batch, served back to front
 
   std::function<void(std::uint32_t)> pump = [&](std::uint32_t w) {
     if (busy[w]) return;
-    if (pendings[w].empty()) {
-      batch_buf.clear();
-      queues[w]->NextBatch(env.now(), batch_buf);
-      for (const QueryTicket& t : batch_buf) pendings[w].push_back(t);
+    if (popped[w].empty()) {
+      queues[w]->NextBatch(env.now(), popped[w]);
+      std::reverse(popped[w].begin(), popped[w].end());
     }
-    if (pendings[w].empty()) return;
+    if (popped[w].empty()) return;
     busy[w] = 1;
-    const QueryTicket t = pendings[w].front();
-    pendings[w].pop_front();
+    const QueryTicket t = popped[w].back();
+    popped[w].pop_back();
     // Execute the real serve now; the measured wall time becomes the
     // virtual service time (the harness's executed-compute contract).
     std::size_t bytes = 0;
@@ -792,15 +769,7 @@ HeliosDeployment::AdmissionServeReport HeliosDeployment::EmulateAdmissionServing
     const sim::SimTime service =
         std::max<sim::SimTime>(static_cast<sim::SimTime>(ns / 1000), 1);
     cluster.cpu(w).Enqueue(service, [&, w, t, bytes] {
-      const sim::SimTime lat = env.now() - t.enqueue_us;
-      report.latency_us.Record(static_cast<std::uint64_t>(lat));
-      if (static_cast<std::int64_t>(env.now()) <= t.deadline_us) completed_in_slo++;
-      if (telemetry != nullptr) {
-        telemetry->RecordQuery(w, env.now(), static_cast<std::uint64_t>(lat), bytes,
-                               static_cast<std::uint64_t>(t.deadline_us - t.enqueue_us));
-      }
-      queues[w]->NoteServed(t.seed);
-      completed++;
+      queues[w]->Complete(t, env.now(), bytes);
       last_completion = env.now();
       busy[w] = 0;
       pump(w);
@@ -811,8 +780,9 @@ HeliosDeployment::AdmissionServeReport HeliosDeployment::EmulateAdmissionServing
   util::Rng pick(config_.seed ^ 0x5EED5);
   const double per_us = rate_qps / 1e6;
   double credit = 0;  // fractional arrivals carried across 1µs ticks
+  std::uint64_t offered = 0;
   std::function<void()> arrive = [&] {
-    if (report.offered >= total_requests) return;
+    if (offered >= total_requests) return;
     // Above 1M qps the emulator's µs clock cannot space arrivals out;
     // batch the per-tick surplus instead of silently capping the rate.
     std::uint64_t n = 1;
@@ -821,8 +791,8 @@ HeliosDeployment::AdmissionServeReport HeliosDeployment::EmulateAdmissionServing
       n = static_cast<std::uint64_t>(credit);
       credit -= static_cast<double>(n);
     }
-    for (std::uint64_t i = 0; i < n && report.offered < total_requests; ++i) {
-      report.offered++;
+    for (std::uint64_t i = 0; i < n && offered < total_requests; ++i) {
+      offered++;
       const graph::VertexId seed = seeds[pick.Uniform(seeds.size())];
       const std::uint32_t w = map_.ServingWorkerOf(seed);
       QueryTicket t;
@@ -830,7 +800,7 @@ HeliosDeployment::AdmissionServeReport HeliosDeployment::EmulateAdmissionServing
       t.deadline_us = static_cast<std::int64_t>(env.now()) + deadline_us;
       if (queues[w]->Offer(t, env.now()) == AdmissionQueue::Outcome::kAdmitted) pump(w);
     }
-    if (report.offered < total_requests) {
+    if (offered < total_requests) {
       const sim::SimTime gap =
           per_us > 1.0 ? 1 : arrivals.NextAfter(env.now()) - env.now();
       env.ScheduleAfter(gap, arrive);
@@ -843,9 +813,10 @@ HeliosDeployment::AdmissionServeReport HeliosDeployment::EmulateAdmissionServing
   if (telemetry != nullptr) {
     advance_tick = [&] {
       telemetry->Advance(env.now());
-      std::uint64_t shed = 0;
-      for (const auto& q : queues) shed += q->stats().shed();
-      if (report.offered >= total_requests && completed + shed >= report.offered) return;
+      if (offered >= total_requests &&
+          std::all_of(queues.begin(), queues.end(), [](const auto& q) { return q->Idle(); })) {
+        return;
+      }
       env.ScheduleAfter(100'000, advance_tick);
     };
     env.ScheduleAfter(100'000, advance_tick);
@@ -855,19 +826,13 @@ HeliosDeployment::AdmissionServeReport HeliosDeployment::EmulateAdmissionServing
   env.Run();
 
   for (const auto& q : queues) {
-    const AdmissionQueue::Stats s = q->stats();
-    report.admitted += s.admitted;
-    report.shed_full += s.shed_full;
-    report.shed_overload += s.shed_overload;
-    report.shed_deadline += s.shed_deadline;
+    report.books += q->stats();
+    report.latency_us.Merge(q->latency());
   }
-  report.completed = completed;
-  report.makespan_us = last_completion;
-  if (last_completion > 0) {
-    report.qps = static_cast<double>(completed) * 1e6 / static_cast<double>(last_completion);
-  }
+  const auto completed = static_cast<double>(report.books.completed);
+  if (last_completion > 0) report.qps = completed * 1e6 / static_cast<double>(last_completion);
   if (completed > 0) {
-    report.slo_hit_rate = static_cast<double>(completed_in_slo) / static_cast<double>(completed);
+    report.slo_hit_rate = static_cast<double>(report.books.completed_in_deadline) / completed;
   }
   return report;
 }
@@ -878,12 +843,6 @@ std::size_t HeliosDeployment::ServingCacheBytes() const {
     const auto stats = core->CacheStats();
     bytes += stats.memory_bytes + stats.disk_bytes;
   }
-  return bytes;
-}
-
-std::size_t HeliosDeployment::SamplingStateBytes() const {
-  std::size_t bytes = 0;
-  for (const auto& shard : shards_) bytes += shard->ApproximateBytes();
   return bytes;
 }
 

@@ -221,22 +221,16 @@ class HeliosDeployment {
   // `encoder` is set and the deployment was built with
   // aggregate_cache_entries > 0, queries serve through the computation-
   // reuse tier (GraphSageEncoder::EmbedSeedCached); otherwise the plain
-  // ServeInto path. Virtual time throughout; deterministic for a fixed
-  // (seeds, rate, seed) tuple.
+  // ServeInto path. Virtual time throughout, but each service time is the
+  // serve's measured wall time, so runs vary with the host.
   struct AdmissionServeReport {
-    std::uint64_t offered = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t shed_full = 0;
-    std::uint64_t shed_overload = 0;
-    std::uint64_t shed_deadline = 0;
+    AdmissionQueue::Stats books;  // summed over the workers' queues
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t stale_recomputes = 0;
     util::Histogram latency_us;     // completed queries, arrival -> reply
     double qps = 0;                 // completed / virtual second
     double slo_hit_rate = 1.0;      // completed within their deadline
-    sim::SimTime makespan_us = 0;
   };
   AdmissionServeReport EmulateAdmissionServing(const std::vector<graph::VertexId>& seeds,
                                                double rate_qps, std::uint64_t total_requests,
@@ -310,9 +304,8 @@ class HeliosDeployment {
   // Deployment-wide registry shared by every core and the emulation
   // tracers.
   obs::MetricsRegistry& registry() { return registry_; }
-  // Total bytes of all serving caches + total sampling-side state.
+  // Total bytes of all serving caches.
   std::size_t ServingCacheBytes() const;
-  std::size_t SamplingStateBytes() const;
 
  private:
   // Routes one core's outputs in-process (used by the fast path).
@@ -363,10 +356,6 @@ class GraphDbDeployment {
 QueryPlan PaperQuery(const gen::DatasetSpec& spec, Strategy strategy, std::size_t hops = 2);
 // The seed vertex type and population of that query.
 std::pair<graph::VertexTypeId, std::uint64_t> PaperSeeds(const gen::DatasetSpec& spec);
-
-// The DES response-size model of one served query: header + 12 bytes per
-// sampled node + keyed feature rows.
-std::size_t ResponseBytes(const SampledSubgraph& result);
 
 // Row printers so every bench emits uniform, paper-comparable tables.
 void PrintHeader(const std::string& title, const std::string& columns);

@@ -2,34 +2,49 @@
 
 #include <algorithm>
 
-#include "util/hash.h"
-
 namespace helios {
 
-AdmissionQueue::AdmissionQueue(Options options) : options_(std::move(options)) {
-  if (options_.hot_seed_slots > 0) {
-    std::size_t n = 16;
-    while (n < options_.hot_seed_slots) n *= 2;
-    hot_seeds_.assign(n, graph::kInvalidVertex);
-  }
-  if (options_.registry != nullptr) {
-    const obs::Labels labels{{"worker", options_.lane}};
-    m_.offered = options_.registry->GetCounter("serving.admission.offered", labels);
-    m_.admitted = options_.registry->GetCounter("serving.admission.admitted", labels);
-    m_.shed_full = options_.registry->GetCounter("serving.admission.shed_full", labels);
-    m_.shed_overload = options_.registry->GetCounter("serving.admission.shed_overload", labels);
-    m_.shed_deadline = options_.registry->GetCounter("serving.admission.shed_deadline", labels);
-    m_.shed_cache = options_.registry->GetCounter("serving.cache.shed", labels);
-    m_.batches = options_.registry->GetCounter("serving.admission.batches", labels);
-    m_.queue_depth = options_.registry->GetGauge("serving.admission.queue_depth", labels);
-    m_.slack_us = options_.registry->GetLatency("serving.admission.slack_us", labels);
-    m_.wait_us = options_.registry->GetLatency("serving.admission.wait_us", labels);
+AdmissionQueue::Stats& AdmissionQueue::Stats::operator+=(const Stats& o) {
+  offered += o.offered;
+  admitted += o.admitted;
+  completed += o.completed;
+  completed_in_deadline += o.completed_in_deadline;
+  shed_full += o.shed_full;
+  shed_overload += o.shed_overload;
+  shed_deadline += o.shed_deadline;
+  return *this;
+}
+
+AdmissionQueue::AdmissionQueue(Options options, obs::MetricsRegistry* registry,
+                               obs::TelemetryHub* telemetry, std::uint32_t worker)
+    : options_(options),
+      telemetry_(telemetry),
+      worker_(worker),
+      hot_seeds_(kHotSeedSlots, graph::kInvalidVertex) {
+  static_assert((kHotSeedSlots & (kHotSeedSlots - 1)) == 0);
+  if (registry != nullptr) {
+    const obs::Labels labels{{"worker", std::to_string(worker)}};
+    m_.offered = registry->GetCounter("serving.admission.offered", labels);
+    m_.admitted = registry->GetCounter("serving.admission.admitted", labels);
+    m_.shed_full = registry->GetCounter("serving.admission.shed_full", labels);
+    m_.shed_overload = registry->GetCounter("serving.admission.shed_overload", labels);
+    m_.shed_deadline = registry->GetCounter("serving.admission.shed_deadline", labels);
+    m_.shed_cache = registry->GetCounter("serving.cache.shed", labels);
+    m_.batches = registry->GetCounter("serving.admission.batches", labels);
+    m_.queue_depth = registry->GetGauge("serving.admission.queue_depth", labels);
+    m_.slack_us = registry->GetLatency("serving.admission.slack_us", labels);
+    m_.wait_us = registry->GetLatency("serving.admission.wait_us", labels);
   }
 }
 
-bool AdmissionQueue::CacheLikelyLocked(graph::VertexId seed) const {
-  if (hot_seeds_.empty()) return false;
-  return hot_seeds_[util::MixHash(seed) & (hot_seeds_.size() - 1)] == seed;
+std::vector<std::unique_ptr<AdmissionQueue>> AdmissionQueue::ForWorkers(
+    std::uint32_t workers, const Options& options, obs::MetricsRegistry* registry,
+    obs::TelemetryHub* telemetry) {
+  std::vector<std::unique_ptr<AdmissionQueue>> queues;
+  for (std::uint32_t w = 0; w < workers; ++w) {
+    queues.push_back(std::make_unique<AdmissionQueue>(options, registry, telemetry, w));
+  }
+  return queues;
 }
 
 AdmissionQueue::Outcome AdmissionQueue::Offer(QueryTicket t, std::int64_t now) {
@@ -43,7 +58,7 @@ AdmissionQueue::Outcome AdmissionQueue::Offer(QueryTicket t, std::int64_t now) {
     return Outcome::kShedFull;
   }
   const std::int64_t slack = t.deadline_us - now;
-  if (slack < options_.est_miss_cost_us && options_.overloaded && options_.overloaded()) {
+  if (slack < kMissCostUs && telemetry_ != nullptr && telemetry_->Overloaded()) {
     // Under overload a ticket that cannot make its deadline even if served
     // immediately only displaces ones that still can.
     stats_.shed_overload++;
@@ -53,11 +68,10 @@ AdmissionQueue::Outcome AdmissionQueue::Offer(QueryTicket t, std::int64_t now) {
   }
   t.id = next_id_++;
   t.enqueue_us = now;
-  Entry e{t.deadline_us, t.id, t.seed, t.enqueue_us};
-  if (CacheLikelyLocked(t.seed)) {
-    hit_q_.push(e);
+  if (hot_seeds_[SlotOf(t.seed)] == t.seed) {
+    hit_q_.push(t);
   } else {
-    miss_q_.push(e);
+    miss_q_.push(t);
   }
   stats_.admitted++;
   if (m_.admitted != nullptr) m_.admitted->Add(1);
@@ -69,31 +83,32 @@ AdmissionQueue::Outcome AdmissionQueue::Offer(QueryTicket t, std::int64_t now) {
 }
 
 // Pops the next ticket by policy — hit class first, unless the miss class's
-// head is urgent (slack under urgency_factor × est_miss_cost_us) or the hit
-// class is empty. Expired tickets shed here. Returns false when both queues
-// are empty.
-bool AdmissionQueue::PopDueLocked(std::int64_t now, std::vector<QueryTicket>& out) {
+// head is urgent (slack under kUrgencyFactor × kMissCostUs) or the hit
+// class is empty. With `shed_expired`, expired tickets shed here. Returns
+// false when both queues are empty.
+bool AdmissionQueue::PopLocked(std::int64_t now, bool shed_expired,
+                               std::vector<QueryTicket>& out) {
   while (!hit_q_.empty() || !miss_q_.empty()) {
-    std::priority_queue<Entry>* q = nullptr;
+    Heap* q = nullptr;
     if (hit_q_.empty()) {
       q = &miss_q_;
     } else if (miss_q_.empty()) {
       q = &hit_q_;
     } else {
       const std::int64_t miss_slack = miss_q_.top().deadline_us - now;
-      q = miss_slack < options_.urgency_factor * options_.est_miss_cost_us ? &miss_q_ : &hit_q_;
+      q = miss_slack < kUrgencyFactor * kMissCostUs ? &miss_q_ : &hit_q_;
     }
-    const Entry e = q->top();
+    const QueryTicket t = q->top();
     q->pop();
-    if (e.deadline_us < now) {
+    if (shed_expired && t.deadline_us < now) {
       stats_.shed_deadline++;
       if (m_.shed_deadline != nullptr) m_.shed_deadline->Add(1);
       if (m_.shed_cache != nullptr) m_.shed_cache->Add(1);
       continue;
     }
-    out.push_back(QueryTicket{e.seed, e.enqueue_us, e.deadline_us, e.id});
-    if (m_.wait_us != nullptr && now > e.enqueue_us) {
-      m_.wait_us->Record(static_cast<std::uint64_t>(now - e.enqueue_us));
+    out.push_back(t);
+    if (m_.wait_us != nullptr && now > t.enqueue_us) {
+      m_.wait_us->Record(static_cast<std::uint64_t>(now - t.enqueue_us));
     }
     return true;
   }
@@ -103,43 +118,45 @@ bool AdmissionQueue::PopDueLocked(std::int64_t now, std::vector<QueryTicket>& ou
 std::size_t AdmissionQueue::NextBatch(std::int64_t now, std::vector<QueryTicket>& out) {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  while (n < options_.max_batch && PopDueLocked(now, out)) ++n;
-  if (n > 0) {
-    stats_.batches++;
-    if (m_.batches != nullptr) m_.batches->Add(1);
-  }
+  while (n < options_.max_batch && PopLocked(now, /*shed_expired=*/true, out)) ++n;
+  if (n > 0 && m_.batches != nullptr) m_.batches->Add(1);
   if (m_.queue_depth != nullptr) m_.queue_depth->Set(static_cast<std::int64_t>(DepthLocked()));
   return n;
 }
 
-std::size_t AdmissionQueue::Drain(std::vector<QueryTicket>& out) {
+std::size_t AdmissionQueue::Drain(std::int64_t now, std::vector<QueryTicket>& out) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Merge both classes in (deadline, id) order; nothing sheds on a drain.
   std::size_t n = 0;
-  while (!hit_q_.empty() || !miss_q_.empty()) {
-    std::priority_queue<Entry>* q = nullptr;
-    if (hit_q_.empty()) {
-      q = &miss_q_;
-    } else if (miss_q_.empty()) {
-      q = &hit_q_;
-    } else {
-      q = miss_q_.top() < hit_q_.top() ? &hit_q_ : &miss_q_;
-    }
-    const Entry e = q->top();
-    q->pop();
-    out.push_back(QueryTicket{e.seed, e.enqueue_us, e.deadline_us, e.id});
-    ++n;
-  }
+  while (PopLocked(now, /*shed_expired=*/false, out)) ++n;
   if (m_.queue_depth != nullptr) m_.queue_depth->Set(0);
   return n;
 }
 
+void AdmissionQueue::Complete(const QueryTicket& ticket, std::int64_t now, std::size_t bytes) {
+  const std::int64_t latency = std::max<std::int64_t>(now - ticket.enqueue_us, 0);
+  const std::int64_t budget = ticket.deadline_us - ticket.enqueue_us;
+  const bool in_deadline = now <= ticket.deadline_us;
+  // The hub hears of the ticket before the books count it, so a caller
+  // that saw Idle() also sees every completed ticket in the hub.
+  if (telemetry_ != nullptr) {
+    telemetry_->RecordQuery(worker_, now, static_cast<std::uint64_t>(latency), bytes,
+                            budget > 0 ? static_cast<std::uint64_t>(budget) : 0);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  hot_seeds_[SlotOf(ticket.seed)] = ticket.seed;
+  latency_us_.Record(static_cast<std::uint64_t>(latency));
+  stats_.completed++;
+  if (in_deadline) stats_.completed_in_deadline++;
+}
+
+bool AdmissionQueue::Idle() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return DepthLocked() == 0 && stats_.admitted == stats_.completed + stats_.shed_deadline;
+}
+
 void AdmissionQueue::NoteServed(graph::VertexId seed) {
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.served_hint++;
-  if (!hot_seeds_.empty()) {
-    hot_seeds_[util::MixHash(seed) & (hot_seeds_.size() - 1)] = seed;
-  }
+  hot_seeds_[SlotOf(seed)] = seed;
 }
 
 void AdmissionQueue::FlushHotSeeds() {
@@ -149,7 +166,7 @@ void AdmissionQueue::FlushHotSeeds() {
 
 bool AdmissionQueue::SeedLooksHot(graph::VertexId seed) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return CacheLikelyLocked(seed);
+  return hot_seeds_[SlotOf(seed)] == seed;
 }
 
 std::size_t AdmissionQueue::depth() const {
@@ -160,6 +177,11 @@ std::size_t AdmissionQueue::depth() const {
 AdmissionQueue::Stats AdmissionQueue::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+util::Histogram AdmissionQueue::latency() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return latency_us_;
 }
 
 }  // namespace helios

@@ -1,10 +1,13 @@
 // SLO-aware query admission — the serving tier's front door (docs/PERF.md
-// "Computation reuse & admission").
+// "Computation reuse & admission"), and the one implementation of a
+// ticket's life for both runtimes: Offer, pop (NextBatch / Drain),
+// Complete, and the books that say when every admitted ticket is done.
+// Each runtime supplies only its clock and its serve call.
 //
 // Every query arrives as a ticket with an absolute deadline. The queue
 // holds two classes, split by a cache-likelihood probe (a small recent-seed
-// table fed by NoteServed): hit-likely tickets are cheap to serve — their
-// hop-1 aggregates are probably resident in the AggregateCache — so
+// table fed by each completion): hit-likely tickets are cheap to serve —
+// their hop-1 aggregates are probably resident in the AggregateCache — so
 // batches prefer them (shortest-job-first drains more queries before their
 // deadlines under load), while a miss-likely ticket whose slack runs low
 // preempts (earliest-deadline-first within each class, so nothing starves
@@ -14,30 +17,30 @@
 // Shedding happens at three points, each counted separately
 // ("serving.admission.*", docs/OBSERVABILITY.md):
 //   - shed_full:     Offer() on a queue at max_depth (bounded memory);
-//   - shed_overload: Offer() while the overload probe (TelemetryHub::
-//                    Overloaded) fires and the ticket's slack is already
-//                    below the miss-path cost estimate — it would miss its
-//                    deadline anyway, so don't let it displace ones that
-//                    won't;
+//   - shed_overload: Offer() while the telemetry hub reports Overloaded()
+//                    and the ticket's slack is already below the miss-path
+//                    cost estimate — it would miss its deadline anyway, so
+//                    don't let it displace ones that won't;
 //   - shed_deadline: NextBatch() pops a ticket whose deadline has passed.
 // Drain() bypasses shedding entirely: fences and shutdown want every
 // admitted query answered, not dropped (the drain-on-fence contract).
 //
 // Determinism: ordering is (deadline, admission id) — ties break by
-// arrival — and the class probe is a pure function of the NoteServed
-// history, so identical offer/now sequences produce identical batches (the
-// DES harness depends on this).
+// arrival — and the class probe is a pure function of the completion
+// history, so identical offer/now sequences produce identical batches.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "graph/types.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
+#include "util/hash.h"
+#include "util/histogram.h"
 
 namespace helios {
 
@@ -51,28 +54,33 @@ struct QueryTicket {
 
 class AdmissionQueue {
  public:
+  // The miss path's service-time estimate: a miss-likely ticket preempts
+  // the hit class once its slack drops under kUrgencyFactor × kMissCostUs,
+  // and under overload a ticket with less slack than kMissCostUs sheds.
+  static constexpr std::int64_t kMissCostUs = 60;
+  static constexpr std::int64_t kUrgencyFactor = 4;
+  // Recent-seed table size; a power of two.
+  static constexpr std::size_t kHotSeedSlots = 4096;
+
   struct Options {
     std::size_t max_depth = 4096;  // shed-on-full bound
     std::size_t max_batch = 32;
-    // Service-time estimates driving the class policy: a miss-likely
-    // ticket preempts the hit class once its slack drops under
-    // urgency_factor × est_miss_cost_us.
-    std::int64_t est_hit_cost_us = 10;
-    std::int64_t est_miss_cost_us = 60;
-    std::int64_t urgency_factor = 4;
-    // Recent-seed table size (power of two picked internally); 0 disables
-    // the cache-likelihood split — everything is one EDF class.
-    std::size_t hot_seed_slots = 4096;
-    // Overload probe, typically TelemetryHub::Overloaded. Null = never.
-    std::function<bool()> overloaded;
-    // Metrics registry + lane label ({worker}); null = no metrics.
-    obs::MetricsRegistry* registry = nullptr;
-    std::string lane = "0";
   };
 
   enum class Outcome { kAdmitted, kShedFull, kShedOverload };
 
-  explicit AdmissionQueue(Options options);
+  // Serving worker `worker`'s queue. Its "serving.admission.*" metrics go
+  // to `registry` under {worker=<worker>}; `telemetry` scores each
+  // completed ticket in lane `worker`, and its Overloaded() is the
+  // overload probe. Either may be null (no metrics / never overloaded).
+  explicit AdmissionQueue(Options options, obs::MetricsRegistry* registry = nullptr,
+                          obs::TelemetryHub* telemetry = nullptr, std::uint32_t worker = 0);
+
+  // The front door of a serving tier: one queue per worker 0..workers-1,
+  // as both runtimes build it.
+  static std::vector<std::unique_ptr<AdmissionQueue>> ForWorkers(
+      std::uint32_t workers, const Options& options, obs::MetricsRegistry* registry,
+      obs::TelemetryHub* telemetry);
 
   // Offers one query; on admission stamps t.id and enqueues.
   Outcome Offer(QueryTicket t, std::int64_t now);
@@ -81,11 +89,22 @@ class AdmissionQueue {
   // whose deadline already passed. Returns the number appended.
   std::size_t NextBatch(std::int64_t now, std::vector<QueryTicket>& out);
 
-  // Pops everything in deadline order with no shedding (drain-on-fence).
-  std::size_t Drain(std::vector<QueryTicket>& out);
+  // Pops everything, in NextBatch's order at `now`, with no shedding
+  // (drain-on-fence).
+  std::size_t Drain(std::int64_t now, std::vector<QueryTicket>& out);
+
+  // A popped ticket was answered at `now` with a `bytes`-byte reply:
+  // records it to the hub (latency now − enqueue, budget deadline −
+  // enqueue), feeds the cache-likelihood probe, and books it completed —
+  // and in-deadline when now <= deadline.
+  void Complete(const QueryTicket& ticket, std::int64_t now, std::size_t bytes);
+
+  // True when the queue is empty and every admitted ticket was completed
+  // or shed at pop: nothing is queued or in service.
+  bool Idle() const;
 
   // Feeds the cache-likelihood probe: `seed` was just served, so its
-  // aggregates are hot.
+  // aggregates are hot. Complete() does this for every answered ticket.
   void NoteServed(graph::VertexId seed);
 
   // Empties the hot-seed table. Called on shard ownership change (migration,
@@ -100,43 +119,49 @@ class AdmissionQueue {
 
   std::size_t depth() const;
 
+  // The books: offered == admitted + shed_full + shed_overload, and once
+  // Idle(), admitted == completed + shed_deadline.
   struct Stats {
     std::uint64_t offered = 0;
     std::uint64_t admitted = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t completed_in_deadline = 0;
     std::uint64_t shed_full = 0;
     std::uint64_t shed_overload = 0;
     std::uint64_t shed_deadline = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t served_hint = 0;  // NoteServed calls
     std::uint64_t shed() const { return shed_full + shed_overload + shed_deadline; }
+    Stats& operator+=(const Stats& o);
   };
   Stats stats() const;
+  // Enqueue-to-reply latency of every completed ticket.
+  util::Histogram latency() const;
 
  private:
-  struct Entry {
-    std::int64_t deadline_us;
-    std::uint64_t id;
-    graph::VertexId seed;
-    std::int64_t enqueue_us;
-    // min-heap on (deadline, id): std::priority_queue is a max-heap, so
-    // the comparator inverts.
-    bool operator<(const Entry& other) const {
-      if (deadline_us != other.deadline_us) return deadline_us > other.deadline_us;
-      return id > other.id;
+  // Min-heap order on (deadline, id): std::priority_queue is a max-heap,
+  // so the comparison inverts.
+  struct Later {
+    bool operator()(const QueryTicket& a, const QueryTicket& b) const {
+      return a.deadline_us != b.deadline_us ? a.deadline_us > b.deadline_us : a.id > b.id;
     }
   };
+  using Heap = std::priority_queue<QueryTicket, std::vector<QueryTicket>, Later>;
 
-  bool CacheLikelyLocked(graph::VertexId seed) const;
+  std::size_t SlotOf(graph::VertexId seed) const {
+    return util::MixHash(seed) & (kHotSeedSlots - 1);
+  }
   std::size_t DepthLocked() const { return hit_q_.size() + miss_q_.size(); }
-  bool PopDueLocked(std::int64_t now, std::vector<QueryTicket>& out);
+  bool PopLocked(std::int64_t now, bool shed_expired, std::vector<QueryTicket>& out);
 
   Options options_;
+  obs::TelemetryHub* telemetry_;
+  std::uint32_t worker_;
   mutable std::mutex mu_;
-  std::priority_queue<Entry> hit_q_;
-  std::priority_queue<Entry> miss_q_;
-  std::vector<graph::VertexId> hot_seeds_;  // power-of-two direct-mapped
+  Heap hit_q_;
+  Heap miss_q_;
+  std::vector<graph::VertexId> hot_seeds_;  // direct-mapped
   std::uint64_t next_id_ = 1;
   Stats stats_;
+  util::Histogram latency_us_;
 
   struct Metrics {
     obs::Counter* offered = nullptr;

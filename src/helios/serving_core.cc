@@ -189,6 +189,14 @@ void DecodeFeatureInto(std::string_view value, FeatureTable& features, graph::Ve
 }
 }  // namespace
 
+std::size_t ResponseBytes(const SampledSubgraph& result) {
+  std::size_t bytes = 64;
+  for (const auto& layer : result.layers) bytes += layer.size() * 12;
+  result.features.ForEach(
+      [&](graph::VertexId, std::span<const float> f) { bytes += 12 + f.size() * 4; });
+  return bytes;
+}
+
 // ------------------------------------------------- feature value codec
 
 const char* FeatureFormatName(FeatureFormat format) {
@@ -541,7 +549,9 @@ ServingCore::ServingCore(QueryPlan plan, std::uint32_t worker_id, Options option
   m_.agg_hits = registry_->GetCounter("serving.cache.hits", labels);
   m_.agg_misses = registry_->GetCounter("serving.cache.misses", labels);
   m_.agg_stale = registry_->GetCounter("serving.cache.stale_recompute", labels);
-  m_.agg_shed = registry_->GetCounter("serving.cache.shed", labels);
+  // Admission counts its sheds into this cell (AdmissionQueue), so the
+  // cache dashboard shows them beside the hits and misses they trade off.
+  (void)registry_->GetCounter("serving.cache.shed", labels);
   m_.latest_event_ts = registry_->GetGauge("serving.latest_event_ts", labels);
   m_.query_latency_us = registry_->GetLatency("serving.query.latency_us", labels);
   m_.query_nodes = registry_->GetLatency("serving.query.nodes", labels);

@@ -291,6 +291,11 @@ struct SampledSubgraph {
   }
 };
 
+// The size of one served query's reply, as both runtimes report it to the
+// telemetry hub: a 64-byte header, 12 bytes per sampled node, and each
+// keyed feature row (12-byte key + 4 bytes per float).
+std::size_t ResponseBytes(const SampledSubgraph& result);
+
 // Reusable per-core (or per-thread) workspace for ServeInto. All buffers
 // keep their capacity across queries.
 struct ServeScratch {
@@ -440,10 +445,6 @@ class ServingCore {
   // cached aggregates were computed over, so recovery flushes rather than
   // trusts (docs/FAULT_TOLERANCE.md).
   void FlushAggregateCache() { agg_cache_.Clear(); }
-  // Admission sheds queries before they reach the core; the cluster-level
-  // front door accounts them here so serving.cache.shed sits next to the
-  // hit/miss counters it trades off against.
-  void CountShedQueries(std::uint64_t n) const { m_.agg_shed->Add(n); }
   std::int64_t aggregate_staleness_us() const { return options_.aggregate_staleness_us; }
   // Now in the freshness and staleness clock's domain
   // (options.freshness_clock if set, else wall time).
@@ -501,7 +502,6 @@ class ServingCore {
     obs::Counter* agg_hits;
     obs::Counter* agg_misses;
     obs::Counter* agg_stale;
-    obs::Counter* agg_shed;
     obs::Gauge* latest_event_ts;
     // Read-path ("serving.query.*") distributions: wall latency per query,
     // nodes assembled per query, feature-arena bytes per query.

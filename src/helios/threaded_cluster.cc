@@ -259,8 +259,7 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
                     ->owner,
                 /*max_concurrent_migrations=*/2, &registry_, &wall_clock_,
                 options_.supervision_timeout},
-               Mechanics()),
-      serving_assignment_(elastic::ShardMap::Contiguous(options_.map.serving_workers, 1)) {
+               Mechanics()) {
   flow_.updates_published = registry_.GetCounter("cluster.updates_published");
   flow_.updates_processed = registry_.GetCounter("cluster.updates_processed");
   flow_.serving_published = registry_.GetCounter("cluster.serving_msgs_published");
@@ -343,15 +342,11 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
     auto poller = std::make_shared<ServingPollActor>(this, w);
     system_->Attach(poller, "poll");
     serving_pollers_.push_back(std::move(poller));
-    if (options_.enable_admission) {
-      AdmissionQueue::Options ao = options_.admission;
-      ao.registry = &registry_;
-      ao.lane = std::to_string(w);
-      if (options_.telemetry != nullptr && !ao.overloaded) {
-        ao.overloaded = [hub = options_.telemetry] { return hub->Overloaded(); };
-      }
-      admission_queues_.push_back(std::make_unique<AdmissionQueue>(std::move(ao)));
-    }
+  }
+  if (options_.enable_admission) {
+    admission_queues_ = AdmissionQueue::ForWorkers(options_.map.serving_workers,
+                                                   options_.admission, &registry_,
+                                                   options_.telemetry);
   }
 
   if (options_.trace != nullptr) {
@@ -400,7 +395,7 @@ void ThreadedCluster::Stop() {
   if (query_pump_.joinable()) query_pump_.join();
   // Fence semantics: admitted queries are answered before shutdown, never
   // dropped (serving is synchronous and needs no actor pools).
-  DrainQueries();
+  for (std::uint32_t w = 0; w < admission_queues_.size(); ++w) PumpOnce(w, /*drain=*/true);
   system_->Shutdown();
   // Every pool thread is joined: no drain slice can reference a replaced
   // actor incarnation any more, so the graveyard can finally be freed.
@@ -477,111 +472,73 @@ void ThreadedCluster::WaitForIngestIdle() {
 }
 
 SampledSubgraph ThreadedCluster::Serve(graph::VertexId seed) {
-  // Layout hashes the seed to a logical lane; the versioned serving
-  // assignment names the lane's current physical owner.
   SampledSubgraph result;
-  ServeOn(RouteOf(seed), seed, /*budget_us=*/0, result);
+  const std::uint32_t worker = RouteOf(seed);
+  const std::int64_t t0 = options_.telemetry != nullptr ? wall_clock_.NowMicros() : 0;
+  ServeOn(worker, seed, result);
+  if (options_.telemetry != nullptr) {
+    const std::int64_t t1 = wall_clock_.NowMicros();
+    options_.telemetry->RecordQuery(worker, t1, static_cast<std::uint64_t>(t1 - t0),
+                                    ResponseBytes(result));
+  }
   return result;
 }
 
-void ThreadedCluster::ServeOn(std::uint32_t worker, graph::VertexId seed, std::int64_t budget_us,
-                              SampledSubgraph& out) {
+void ThreadedCluster::ServeOn(std::uint32_t worker, graph::VertexId seed, SampledSubgraph& out) {
   // One scratch per thread: the query pump and every caller thread each
   // reuse their own, so a steady-state serve allocates only its result.
   static thread_local ServeScratch scratch;
   flow_.queries_served->Add(1);
-  const std::int64_t t0 = options_.telemetry != nullptr ? wall_clock_.NowMicros() : 0;
-  {
-    obs::ScopedStage span(*serving_tracers_[worker], obs::Stage::kServe, kServingPidBase + worker,
-                          1);
-    serving_cores_[worker]->ServeInto(seed, out, scratch);
-  }
-  if (options_.telemetry != nullptr) {
-    const std::int64_t t1 = wall_clock_.NowMicros();
-    // Reply-size proxy: topology nodes plus the feature floats the query
-    // gathered (the arena holds exactly this query's features).
-    const std::uint64_t bytes = out.TotalNodes() * sizeof(SampledSubgraph::Node) +
-                                out.features.arena_floats() * sizeof(float);
-    options_.telemetry->RecordQuery(worker, t1, static_cast<std::uint64_t>(t1 - t0), bytes,
-                                    budget_us > 0 ? static_cast<std::uint64_t>(budget_us) : 0);
-  }
+  obs::ScopedStage span(*serving_tracers_[worker], obs::Stage::kServe, kServingPidBase + worker, 1);
+  serving_cores_[worker]->ServeInto(seed, out, scratch);
 }
 
 // ---- admission front door (docs/PERF.md "Computation reuse & admission")
 
 AdmissionQueue::Outcome ThreadedCluster::SubmitQuery(graph::VertexId seed,
                                                      std::int64_t deadline_us) {
-  // Admission consults the versioned serving assignment, like Serve().
-  const std::uint32_t worker = RouteOf(seed);
-  if (worker >= admission_queues_.size()) {
-    // Admission disabled: serve synchronously, preserving the old
-    // front-door semantics.
-    Serve(seed);
-    return AdmissionQueue::Outcome::kAdmitted;
+  if (admission_queues_.empty()) {
+    std::fprintf(stderr, "cluster: SubmitQuery needs ClusterOptions::enable_admission\n");
+    std::abort();
   }
   QueryTicket t;
   t.seed = seed;
   t.deadline_us = deadline_us;
-  // The queue accounts sheds itself (it shares the serving.cache.shed cell
-  // with the worker's ServingCore).
-  return admission_queues_[worker]->Offer(t, wall_clock_.NowMicros());
+  return admission_queues_[RouteOf(seed)]->Offer(t, wall_clock_.NowMicros());
 }
 
-void ThreadedCluster::ServeTicket(std::uint32_t worker, const QueryTicket& ticket) {
+std::size_t ThreadedCluster::PumpOnce(std::uint32_t worker, bool drain) {
   // Nobody reads a pumped result: one per thread, reused like ServeOn's
   // scratch, so a steady-state ticket allocates nothing.
+  static thread_local std::vector<QueryTicket> batch;
   static thread_local SampledSubgraph result;
-  // The hub scores SLO against the per-query *budget* (latency vs
-  // deadline-minus-enqueue), queue wait included.
-  ServeOn(worker, ticket.seed, ticket.deadline_us - ticket.enqueue_us, result);
-  admission_queues_[worker]->NoteServed(ticket.seed);
-  queries_pumped_.fetch_add(1, std::memory_order_release);
+  AdmissionQueue& queue = *admission_queues_[worker];
+  batch.clear();
+  if (drain) {
+    queue.Drain(wall_clock_.NowMicros(), batch);
+  } else {
+    queue.NextBatch(wall_clock_.NowMicros(), batch);
+  }
+  for (const QueryTicket& t : batch) {
+    ServeOn(worker, t.seed, result);
+    queue.Complete(t, wall_clock_.NowMicros(), ResponseBytes(result));
+  }
+  return batch.size();
 }
 
 void ThreadedCluster::QueryPumpLoop() {
-  std::vector<QueryTicket> batch;
   while (running_.load(std::memory_order_acquire)) {
     bool any = false;
     for (std::uint32_t w = 0; w < admission_queues_.size(); ++w) {
-      batch.clear();
-      admission_queues_[w]->NextBatch(wall_clock_.NowMicros(), batch);
-      for (const QueryTicket& t : batch) ServeTicket(w, t);
-      any = any || !batch.empty();
+      any = PumpOnce(w, /*drain=*/false) > 0 || any;
     }
     if (!any) std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 }
 
-std::size_t ThreadedCluster::DrainQueries() {
-  std::size_t served = 0;
-  std::vector<QueryTicket> batch;
-  for (std::uint32_t w = 0; w < admission_queues_.size(); ++w) {
-    batch.clear();
-    admission_queues_[w]->Drain(batch);
-    for (const QueryTicket& t : batch) ServeTicket(w, t);
-    served += batch.size();
-  }
-  return served;
-}
-
 void ThreadedCluster::WaitForQueryIdle() {
-  // Every admitted ticket ends up either pumped (queries_pumped_) or shed
-  // at pop time (shed_deadline); idle once the books balance and the
-  // queues are empty.
-  while (true) {
-    std::uint64_t admitted = 0;
-    std::uint64_t shed_deadline = 0;
-    std::size_t depth = 0;
-    for (const auto& q : admission_queues_) {
-      const AdmissionQueue::Stats s = q->stats();
-      admitted += s.admitted;
-      shed_deadline += s.shed_deadline;
-      depth += q->depth();
-    }
-    if (depth == 0 &&
-        admitted == queries_pumped_.load(std::memory_order_acquire) + shed_deadline) {
-      return;
-    }
+  while (!std::all_of(admission_queues_.begin(), admission_queues_.end(),
+                      [](const auto& q) { return q->Idle(); })) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 }

@@ -78,7 +78,9 @@ struct ClusterOptions {
   // lanes. Must outlive the cluster.
   obs::TraceBuffer* trace = nullptr;
   // Optional windowed-telemetry hub (lanes = serving workers): Serve()
-  // records per-query latency into the seed's lane, and when supervision is
+  // records per-query latency into the seed's lane, an admitted ticket is
+  // recorded there from enqueue to reply (AdmissionQueue::Complete), its
+  // Overloaded() drives admission's overload shedding, and when supervision is
   // armed the hub's Overloaded() signal is installed as the supervisor's
   // cluster-health probe (polled each monitor tick, never triggers
   // recovery). Must outlive the cluster.
@@ -96,9 +98,7 @@ struct ClusterOptions {
   std::int64_t aggregate_staleness_us = -1;
   // SLO-aware admission front door. When true, SubmitQuery() offers
   // queries to per-worker AdmissionQueues drained by a pump thread;
-  // `admission` seeds each queue's policy (registry, lane label, and —
-  // when `telemetry` is set — the overload probe are filled in by the
-  // cluster).
+  // `admission` is each queue's policy.
   bool enable_admission = false;
   AdmissionQueue::Options admission;
   // Opt-in durable MQ log (docs/STORAGE.md): when non-empty, the broker is
@@ -147,25 +147,22 @@ class ThreadedCluster {
   // assembles the K-hop result from the owning worker's local cache.
   SampledSubgraph Serve(graph::VertexId seed);
   // The serving worker a seed routes to (exposed for tests / benches).
-  // The static layout hashes the seed to a logical lane; the versioned
-  // serving assignment maps the lane to its current physical owner
-  // (identity until an elastic rebind — docs/ELASTICITY.md).
   std::uint32_t RouteOf(graph::VertexId seed) const {
-    return serving_assignment_.OwnerOf(options_.map.ServingWorkerOf(seed));
+    return options_.map.ServingWorkerOf(seed);
   }
 
-  // ---- admission front door (requires ClusterOptions::enable_admission)
+  // ---- admission front door (requires ClusterOptions::enable_admission;
+  // SubmitQuery without it aborts)
   // Offers a query with an absolute wall-clock deadline to the owning
   // worker's AdmissionQueue; a pump thread drains batches by deadline
-  // slack (hit-likely first) and serves them. Sheds instead of enqueueing
-  // when the queue is full or the ticket cannot make its deadline under
-  // overload ("serving.admission.*" / "serving.cache.shed" metrics).
+  // slack (hit-likely first), serves them and completes each ticket in its
+  // queue. Sheds instead of enqueueing when the queue is full or the
+  // ticket cannot make its deadline under overload ("serving.admission.*"
+  // / "serving.cache.shed" metrics).
   AdmissionQueue::Outcome SubmitQuery(graph::VertexId seed, std::int64_t deadline_us);
-  // Blocks until every admitted query has been served or shed.
+  // Blocks until every queue is Idle(): each admitted query completed or
+  // shed.
   void WaitForQueryIdle();
-  // Serves everything still queued ignoring deadlines (fence semantics:
-  // admitted queries are answered, never dropped). Also runs on Stop().
-  std::size_t DrainQueries();
   // Null when admission is disabled or the worker is out of range.
   AdmissionQueue* admission_queue(std::uint32_t worker) {
     return worker < admission_queues_.size() ? admission_queues_[worker].get() : nullptr;
@@ -236,11 +233,10 @@ class ThreadedCluster {
   // subsequent MigrateShard calls (scale-up).
   bool ReviveNode(std::uint32_t node) { return control_.Revive(node); }
   bool NodeDrained(std::uint32_t node) const { return control_.NodeDrained(node); }
-  // The versioned shard placement (sampling tier) and lane placement
-  // (serving tier) consulted by routing; the migration ledger.
+  // The versioned shard placement consulted by dissemination routing; the
+  // migration ledger.
   elastic::ShardMap& sampling_assignment() { return control_.placement(); }
   const elastic::ShardMap& sampling_assignment() const { return control_.placement(); }
-  elastic::ShardMap& serving_assignment() { return serving_assignment_; }
   elastic::ShardMigrator& migrator() { return control_.migrator(); }
 
   ClusterStats Stats() const;
@@ -277,13 +273,14 @@ class ThreadedCluster {
                                      ShardLedger& ledger);
   void MonitorLoop();
   void QueryPumpLoop();
-  void ServeTicket(std::uint32_t worker, const QueryTicket& ticket);
-  // The serve body of Serve() and ServeTicket(): ServeInto on `worker`
-  // with the calling thread's scratch, under the serve span, counted in
-  // cluster.queries_served and, with a telemetry hub, recorded there
-  // against `budget_us` (0 = no SLO budget).
-  void ServeOn(std::uint32_t worker, graph::VertexId seed, std::int64_t budget_us,
-               SampledSubgraph& out);
+  // One pump step on `worker`'s queue: pops a batch (everything, unshed,
+  // when draining), serves each ticket and completes it. Returns the
+  // tickets served.
+  std::size_t PumpOnce(std::uint32_t worker, bool drain);
+  // The serve body of Serve() and PumpOnce(): ServeInto on `worker` with
+  // the calling thread's scratch, under the serve span, counted in
+  // cluster.queries_served.
+  void ServeOn(std::uint32_t worker, graph::VertexId seed, SampledSubgraph& out);
 
   QueryPlan plan_;
   ClusterOptions options_;
@@ -329,15 +326,11 @@ class ThreadedCluster {
   // Admission front door (empty unless options_.enable_admission).
   std::vector<std::unique_ptr<AdmissionQueue>> admission_queues_;
   std::thread query_pump_;
-  std::atomic<std::uint64_t> queries_pumped_{0};
 
   std::atomic<bool> running_{false};
 
   std::thread monitor_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_applied_;  // per shard: log offset applied
-  // Versioned logical-lane -> physical-worker placement for the serving
-  // tier (identity unless rebound; subscription state is keyed by lane).
-  elastic::ShardMap serving_assignment_;
   mutable std::mutex reports_mutex_;
   std::vector<ft::RecoveryReport> reports_;
   // Cluster-level flow counters, registry-backed ("cluster.*"). The idle

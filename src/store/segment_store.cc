@@ -124,6 +124,11 @@ struct SegmentStore::Impl {
   std::uint32_t next_copy = 0;  // metadata copy the next commit writes
   std::uint64_t uncommitted_bytes = 0;
   bool dirty = false;  // structural changes (create/seal/retire/named)
+  // The first failed write or commit. After it the handle commits nothing
+  // more, the close included: a retried fdatasync that succeeds proves
+  // nothing about the pages the failed one dropped, and a half-written
+  // round must not flip.
+  util::Status failed;
   std::string scratch;  // frame build buffer, reused across appends
 
   mutable StoreStats stats;
@@ -143,9 +148,10 @@ struct SegmentStore::Impl {
       committer.join();
     }
     {
-      // Graceful close is a commit: only crashes lose the tail.
+      // Graceful close is a commit (unless a write or commit failed): only
+      // crashes lose the tail.
       std::lock_guard<std::mutex> lock(mutex);
-      CommitLocked();
+      (void)CommitLocked();
     }
     if (fd >= 0) ::close(fd);
   }
@@ -177,8 +183,9 @@ struct SegmentStore::Impl {
       const std::size_t chunk = std::min<std::uint64_t>(n, cs - in);
       const off_t phys = static_cast<off_t>(seg.chain[ci] * cs + in);
       if (::pwrite(fd, p, chunk, phys) != static_cast<ssize_t>(chunk)) {
-        return util::Status::Internal("segment store: short write at cluster " +
-                                      std::to_string(seg.chain[ci]));
+        failed = util::Status::Internal("segment store: short write at cluster " +
+                                        std::to_string(seg.chain[ci]));
+        return failed;
       }
       p += chunk;
       n -= chunk;
@@ -323,6 +330,11 @@ struct SegmentStore::Impl {
   }
 
   util::Status CommitLocked() {
+    if (failed.ok()) failed = FlipLocked();
+    return failed;
+  }
+
+  util::Status FlipLocked() {
     if (!dirty && uncommitted_bytes == 0) return util::Status::Ok();
     if (fd < 0) return util::Status::Internal("store is closed");
     if (options.sync) {

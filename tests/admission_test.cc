@@ -1,12 +1,14 @@
 // Tests for the SLO-aware admission queue: deadline ordering, the
 // hit/miss class policy, all three shed points, the no-shed drain-on-fence
-// contract, and determinism (docs/PERF.md "Computation reuse & admission").
+// contract, completion scoring and the books, and determinism (docs/PERF.md
+// "Computation reuse & admission").
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "helios/admission.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 
 namespace helios {
 namespace {
@@ -42,10 +44,10 @@ TEST(AdmissionQueue, PopsInDeadlineOrderWithIdTieBreak) {
 }
 
 TEST(AdmissionQueue, HitClassDrainsFirstUntilMissHeadTurnsUrgent) {
+  // The miss class preempts below kUrgencyFactor × kMissCostUs of slack.
+  static_assert(AdmissionQueue::kUrgencyFactor * AdmissionQueue::kMissCostUs == 240);
   AdmissionQueue::Options opt;
-  opt.est_miss_cost_us = 60;
-  opt.urgency_factor = 4;  // miss preempts below 240µs slack
-  opt.max_batch = 1;       // one pop per NextBatch so ordering is visible
+  opt.max_batch = 1;  // one pop per NextBatch so ordering is visible
   AdmissionQueue q(opt);
   q.NoteServed(7);  // seed 7 is now hit-likely
 
@@ -59,7 +61,7 @@ TEST(AdmissionQueue, HitClassDrainsFirstUntilMissHeadTurnsUrgent) {
   EXPECT_EQ(out[0].seed, 7u);
 
   // Same queue state later: the miss head's slack fell under
-  // urgency_factor × est_miss_cost_us, so it preempts.
+  // kUrgencyFactor × kMissCostUs, so it preempts.
   q.Offer(Ticket(7, 2000), 800);
   out.clear();
   q.NextBatch(800, out);
@@ -82,15 +84,19 @@ TEST(AdmissionQueue, ShedsOnFullQueue) {
 }
 
 TEST(AdmissionQueue, ShedsOnOverloadOnlyWhenTicketIsDoomed) {
-  AdmissionQueue::Options opt;
-  opt.est_miss_cost_us = 60;
-  bool overloaded = false;
-  opt.overloaded = [&overloaded] { return overloaded; };
-  AdmissionQueue q(opt);
+  static_assert(AdmissionQueue::kMissCostUs == 60);
+  obs::MetricsRegistry registry;
+  obs::TelemetryHub::Options topt;
+  topt.overload_p99_us = 100;
+  obs::TelemetryHub hub(&registry, topt);
+  AdmissionQueue q({}, nullptr, &hub);
 
   // Doomed slack but no overload: admitted (it may still make it).
   EXPECT_EQ(q.Offer(Ticket(1, 30), 0), AdmissionQueue::Outcome::kAdmitted);
-  overloaded = true;
+  // The hub's window p99 blows past its threshold: overloaded.
+  hub.RecordQuery(0, 0, 10'000, 0);
+  hub.Advance(0);
+  ASSERT_TRUE(hub.Overloaded());
   // Overloaded + comfortable slack: admitted (it can make its deadline).
   EXPECT_EQ(q.Offer(Ticket(2, 10'000), 0), AdmissionQueue::Outcome::kAdmitted);
   // Overloaded + slack below the miss-path estimate: shed.
@@ -119,9 +125,10 @@ TEST(AdmissionQueue, DrainReturnsEverythingInOrderWithoutShedding) {
   q.Offer(Ticket(8, 100), 0);   // miss class, already expired below
   q.Offer(Ticket(9, 9000), 0);  // miss class
   std::vector<QueryTicket> out;
-  // Drain-on-fence: both classes merge in (deadline, id) order and the
-  // expired ticket is still delivered, not dropped.
-  EXPECT_EQ(q.Drain(out), 3u);
+  // Drain-on-fence: NextBatch's pick order (the miss head is urgent at
+  // now=0, then the hit class), and the expired ticket is still
+  // delivered, not dropped.
+  EXPECT_EQ(q.Drain(0, out), 3u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].seed, 8u);
   EXPECT_EQ(out[1].seed, 5u);
@@ -151,9 +158,7 @@ TEST(AdmissionQueue, ShedMetricsFeedAdmissionAndCacheFamilies) {
   obs::MetricsRegistry registry;
   AdmissionQueue::Options opt;
   opt.max_depth = 1;
-  opt.registry = &registry;
-  opt.lane = "3";
-  AdmissionQueue q(opt);
+  AdmissionQueue q(opt, &registry, nullptr, /*worker=*/3);
   q.Offer(Ticket(1, 100), 0);
   q.Offer(Ticket(2, 100), 0);  // shed_full
   std::vector<QueryTicket> out;
@@ -165,6 +170,75 @@ TEST(AdmissionQueue, ShedMetricsFeedAdmissionAndCacheFamilies) {
   // Both sheds also land in the serving.cache.shed cell the ServingCore
   // registers under the same labels.
   EXPECT_EQ(registry.GetCounter("serving.cache.shed", labels)->Value(), 2u);
+}
+
+// Complete scores a ticket from enqueue, not from pop: offered at 0 with
+// deadline 100, popped at 50 and answered at 150, its latency is 150 µs
+// against a 100 µs budget — an SLO miss in the hub and not in-deadline in
+// the books.
+TEST(AdmissionQueue, CompleteScoresFromEnqueueAgainstTheWholeBudget) {
+  obs::MetricsRegistry registry;
+  obs::TelemetryHub::Options topt;
+  topt.num_lanes = 2;
+  obs::TelemetryHub hub(&registry, topt);
+  AdmissionQueue q({}, &registry, &hub, /*worker=*/1);
+  ASSERT_EQ(q.Offer(Ticket(4, 100), 0), AdmissionQueue::Outcome::kAdmitted);
+  std::vector<QueryTicket> out;
+  ASSERT_EQ(q.NextBatch(50, out), 1u);
+  EXPECT_FALSE(q.Idle());  // popped, still in service
+  q.Complete(out[0], 150, 640);
+
+  hub.Advance(150);
+  EXPECT_EQ(hub.P99Of(0), 0u);
+  EXPECT_EQ(hub.QpsOf(0), 0.0);
+  EXPECT_GE(hub.P99Of(1), 150u);
+  EXPECT_LT(hub.P99Of(1), 160u);  // within one ~1.5 % histogram bucket
+  EXPECT_EQ(hub.SloHitRate(), 0.0);
+  const auto s = q.stats();
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.completed_in_deadline, 0u);
+  EXPECT_TRUE(q.SeedLooksHot(4));
+  EXPECT_EQ(q.latency().count(), 1u);
+  EXPECT_TRUE(q.Idle());
+
+  // Answered by its deadline: an SLO hit, in-deadline.
+  ASSERT_EQ(q.Offer(Ticket(5, 300), 200), AdmissionQueue::Outcome::kAdmitted);
+  out.clear();
+  ASSERT_EQ(q.NextBatch(200, out), 1u);
+  q.Complete(out[0], 300, 640);
+  hub.Advance(300);
+  EXPECT_EQ(hub.SloHitRate(), 0.5);
+  EXPECT_EQ(q.stats().completed_in_deadline, 1u);
+}
+
+// The books balance — Idle() — once every admitted ticket was completed or
+// shed at pop, after a deadline shed and after a Drain alike.
+TEST(AdmissionQueue, IdleBalancesAfterDeadlineShedAndDrain) {
+  AdmissionQueue q({});
+  EXPECT_TRUE(q.Idle());
+  q.Offer(Ticket(1, 100), 0);
+  q.Offer(Ticket(2, 1000), 0);
+  EXPECT_FALSE(q.Idle());
+  std::vector<QueryTicket> out;
+  ASSERT_EQ(q.NextBatch(500, out), 1u);  // ticket 1 sheds at pop
+  EXPECT_FALSE(q.Idle());                // ticket 2 is in service
+  q.Complete(out[0], 600, 0);
+  EXPECT_TRUE(q.Idle());
+
+  q.Offer(Ticket(3, 700), 600);
+  q.Offer(Ticket(4, 800), 600);
+  out.clear();
+  ASSERT_EQ(q.Drain(10'000, out), 2u);  // both expired, neither shed
+  EXPECT_EQ(q.depth(), 0u);
+  EXPECT_FALSE(q.Idle());
+  for (const QueryTicket& t : out) q.Complete(t, 10'000, 0);
+  EXPECT_TRUE(q.Idle());
+  const auto s = q.stats();
+  EXPECT_EQ(s.offered, s.admitted + s.shed_full + s.shed_overload);
+  EXPECT_EQ(s.admitted, s.completed + s.shed_deadline);
+  EXPECT_EQ(s.completed, 3u);
+  EXPECT_EQ(s.shed_deadline, 1u);
+  EXPECT_EQ(s.completed_in_deadline, 1u);
 }
 
 }  // namespace

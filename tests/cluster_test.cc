@@ -514,6 +514,43 @@ TEST_F(ClusterTest, AdmissionShedsOnFullQueueAndExpiredDeadlines) {
   cluster.Stop();
 }
 
+// An admitted ticket is scored from enqueue: one that waits 50 ms in the
+// queue before the pump starts reaches the hub with at least that latency,
+// not just its serve time.
+TEST_F(ClusterTest, AdmittedLatencyIncludesQueueWait) {
+  ClusterOptions options;
+  options.map = {1, 1, 2};
+  options.enable_admission = true;
+  obs::MetricsRegistry hub_registry;
+  obs::TelemetryHub::Options topt;
+  topt.num_lanes = options.map.serving_workers;
+  obs::TelemetryHub hub(&hub_registry, topt);
+  options.telemetry = &hub;
+  ThreadedCluster cluster(Plan(Strategy::kTopK), options);
+
+  const graph::VertexId seed = MakeVertexId(0, 1);
+  ASSERT_EQ(cluster.SubmitQuery(seed, util::NowMicros() + 10'000'000),
+            AdmissionQueue::Outcome::kAdmitted);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  cluster.Start();
+  cluster.WaitForQueryIdle();
+  hub.Advance(util::NowMicros());
+  EXPECT_GE(hub.P99Of(cluster.RouteOf(seed)), 50'000u);
+  EXPECT_EQ(cluster.admission_queue(cluster.RouteOf(seed))->stats().completed_in_deadline, 1u);
+  cluster.Stop();
+}
+
+// SubmitQuery on a cluster built without admission is a checked
+// precondition, not a silent synchronous serve.
+TEST(ClusterDeathTest, SubmitQueryWithoutAdmissionAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ClusterOptions options;
+  options.map = {1, 1, 1};
+  ThreadedCluster cluster(Plan(Strategy::kTopK), options);
+  EXPECT_DEATH(cluster.SubmitQuery(MakeVertexId(0, 1), util::NowMicros() + 1000),
+               "SubmitQuery needs ClusterOptions::enable_admission");
+}
+
 // Chaos bar (satellite): crash recovery must cold-start the reuse tier —
 // replay may re-apply deltas the caches served around, so nothing cached
 // survives a RestartNode, and post-recovery serves recompute fresh.

@@ -44,7 +44,8 @@ std::filesystem::path TempDir(const std::string& name) {
 
 // Either fdatasync of a commit (data, then metadata) failing fails the
 // commit with the errno and flips nothing: no commit counted, committed
-// sizes unchanged. The retry commits.
+// sizes unchanged. A retry returns the first error and flips nothing
+// either, though fdatasync succeeds again.
 TEST(StoreSync, FailedFdatasyncFailsTheCommitAndFlipsNothing) {
   for (const int which : {0, 1}) {
     const auto dir = TempDir("helios_store_sync");
@@ -71,12 +72,35 @@ TEST(StoreSync, FailedFdatasyncFailsTheCommitAndFlipsNothing) {
     EXPECT_EQ(st.GetStats().commits, commits);
     EXPECT_EQ(st.Info(seg).value().committed_bytes, committed);
 
-    ASSERT_TRUE(st.Commit().ok());
-    EXPECT_EQ(st.GetStats().commits, commits + 1);
-    EXPECT_GT(st.Info(seg).value().committed_bytes, committed);
+    const util::Status retried = st.Commit();
+    EXPECT_EQ(retried.code(), failed.code());
+    EXPECT_EQ(retried.message(), failed.message());
+    EXPECT_EQ(st.GetStats().commits, commits);
+    EXPECT_EQ(st.Info(seg).value().committed_bytes, committed);
     opened.value().reset();
     std::filesystem::remove_all(dir);
   }
+}
+
+// The close does not commit what a failed commit left behind: a round
+// whose fdatasync failed stays absent after the store is closed (with
+// fdatasync working again) and reopened, and the previous round is still
+// what recovery reads.
+TEST(StoreSync, FailedCheckpointRoundStaysAbsentAfterCloseAndReopen) {
+  const auto dir = TempDir("helios_store_sync_close");
+  testing::Rig rig(/*nodes=*/1, /*shards_per_node=*/2);
+  rig.steps[0]->core().set_applied_offset(3);
+  ASSERT_TRUE(rig.plane->Checkpoint(dir.string()).ok());
+
+  rig.steps[0]->core().set_applied_offset(8);
+  g_fail_after = 0;  // the round's data fdatasync; the close's would pass
+  ASSERT_FALSE(rig.plane->Checkpoint(dir.string()).ok());
+  ASSERT_EQ(g_fail_after.load(), -1);
+
+  ASSERT_TRUE(rig.plane->Kill(0));
+  ASSERT_TRUE(rig.plane->Restart(0));
+  EXPECT_EQ(rig.steps[0]->core().applied_offset(), 3u);
+  std::filesystem::remove_all(dir);
 }
 
 // A checkpoint round whose commit fails returns the error and does not
