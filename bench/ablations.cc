@@ -65,13 +65,10 @@ int main(int argc, char** argv) {
     bench::HeliosEmuConfig hc;
     bench::HeliosDeployment helios(plan, hc);
     helios.IngestAll(updates);
-    std::uint64_t sent = 0, cells = 0, offers_selected_bound = 0;
-    for (std::uint32_t s = 0; s < helios.num_shards(); ++s) {
-      const auto& st = helios.shard(s).stats();
-      sent += st.sample_updates_sent + st.feature_updates_sent;
-      cells += st.cells;
-      offers_selected_bound += st.edges_offered;
-    }
+    const auto snap = helios.registry().TakeSnapshot();
+    const std::uint64_t sent = snap.CounterTotal("sampling.sample_updates_sent") +
+                               snap.CounterTotal("sampling.feature_updates_sent");
+    const std::uint64_t offers_selected_bound = snap.CounterTotal("sampling.edges_offered");
     // Broadcast would push every cell refresh and feature write to every
     // serving worker. A refresh happens at most once per offered edge.
     const std::uint64_t broadcast =

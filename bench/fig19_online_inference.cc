@@ -20,9 +20,10 @@
 //
 // Fig 19b (docs/PERF.md "Computation reuse & admission") pushes 1-100x the
 // measured sustainable rate through the SLO-aware admission front door
-// under zipfian query skew: hit-heavy deadline batches drain first out of
-// the computation-reuse tier, overflow sheds (serving.admission.*), and
-// the completed queries' p99 stays bounded instead of collapsing. The run
+// under zipfian query skew: each serve pops one ticket in hit-first/EDF
+// order out of the computation-reuse tier, expired tickets shed at the pop,
+// overflow sheds (serving.admission.*), and the completed queries' p99
+// stays bounded instead of collapsing. The run
 // exits 1, naming the failed check, unless at every rate the admission
 // books balance, the completed p99 is at most 1.5x the deadline, and the
 // 1x rate sheds nothing.

@@ -734,18 +734,11 @@ HeliosDeployment::AdmissionServeReport HeliosDeployment::EmulateAdmissionServing
 
   sim::SimTime last_completion = 0;
   std::vector<char> busy(N, 0);
-  std::vector<std::vector<QueryTicket>> popped(N);  // a batch, served back to front
 
   std::function<void(std::uint32_t)> pump = [&](std::uint32_t w) {
-    if (busy[w]) return;
-    if (popped[w].empty()) {
-      queues[w]->NextBatch(env.now(), popped[w]);
-      std::reverse(popped[w].begin(), popped[w].end());
-    }
-    if (popped[w].empty()) return;
+    QueryTicket t;
+    if (busy[w] || !queues[w]->Next(env.now(), t)) return;
     busy[w] = 1;
-    const QueryTicket t = popped[w].back();
-    popped[w].pop_back();
     // Execute the real serve now; the measured wall time becomes the
     // virtual service time (the harness's executed-compute contract).
     std::size_t bytes = 0;

@@ -216,12 +216,13 @@ class HeliosDeployment {
 
   // Open-loop serving through the SLO-aware admission front door (the
   // fig19 overload sweep): queries arrive Poisson at `rate_qps`, each with
-  // deadline now + deadline_us; per-worker AdmissionQueues batch by
-  // deadline slack and shed under overload (serving.admission.*). When
-  // `encoder` is set and the deployment was built with
-  // aggregate_cache_entries > 0, queries serve through the computation-
-  // reuse tier (GraphSageEncoder::EmbedSeedCached); otherwise the plain
-  // ServeInto path. Virtual time throughout, but each service time is the
+  // deadline now + deadline_us; per-worker AdmissionQueues pop one ticket
+  // per serve in hit-first/EDF order, shed expired tickets at the pop and
+  // shed under overload (serving.admission.*). When `encoder` is set and
+  // the deployment was built with aggregate_cache_entries > 0, queries
+  // serve through the computation-reuse tier
+  // (GraphSageEncoder::EmbedSeedCached); otherwise the plain ServeInto
+  // path. Virtual time throughout, but each service time is the
   // serve's measured wall time, so runs vary with the host.
   struct AdmissionServeReport {
     AdmissionQueue::Stats books;  // summed over the workers' queues

@@ -485,8 +485,7 @@ void RunServePathFused(benchmark::State& state, FeatureFormat format) {
   if (allocs != 0) {
     state.SkipWithError("steady-state ServeInto allocated on the heap");
   }
-  state.SetLabel(std::string("features=") + FeatureFormatName(format) +
-                 " simd=" + util::simd::SimdLevelName(util::simd::ActiveSimdLevel()));
+  state.SetLabel(std::string("features=") + FeatureFormatName(format));
 }
 }  // namespace
 
@@ -494,15 +493,6 @@ static void BM_ServePathZeroCopy(benchmark::State& state) {
   RunServePathFused(state, FeatureFormat::kFp32);
 }
 BENCHMARK(BM_ServePathZeroCopy);
-
-// Same path with the dispatcher pinned to the scalar kernels — the delta
-// vs BM_ServePathZeroCopy is what vectorization buys end to end.
-static void BM_ServePathZeroCopyScalar(benchmark::State& state) {
-  util::simd::ForceSimdLevel(util::simd::SimdLevel::kScalar);
-  RunServePathFused(state, FeatureFormat::kFp32);
-  util::simd::ResetSimdLevel();
-}
-BENCHMARK(BM_ServePathZeroCopyScalar);
 
 // Quantized feature storage: same query stream, cache holds fp16 / int8
 // values, gather dequantizes into the fp32 arena. Still 0 allocs/query.
@@ -566,20 +556,17 @@ static void BM_ServePathCached(benchmark::State& state) {
                              : 0);
   if (allocs != 0) state.SkipWithError("steady-state cached serve allocated on the heap");
   if (hit_rate < 0.8) state.SkipWithError("cache hit rate fell below the 80% quoting regime");
-  state.SetLabel(std::string("simd=") + util::simd::SimdLevelName(util::simd::ActiveSimdLevel()));
 }
 BENCHMARK(BM_ServePathCached);
 
 // ------------------------------------------- sample/gather kernels
 //
 // The two kernel families the fused serve path is built from, isolated:
-//   CellDecode — split `n` packed 20-byte cell records (u64 dst | i64 ts |
-//     f32 w) into SoA arrays with the strided-gather kernels.
+//   CellDecode — extract the u64 dst field of `n` packed 20-byte cell
+//     records (u64 dst | i64 ts | f32 w), as the serve path's hop decode
+//     does with GatherStridedU64.
 //   Gather — decode one cached feature value (fp32 memcpy / fp16 / int8
 //     dequant) into the fp32 arena row the GNN reads.
-// Scalar and AVX2 variants run the same dispatched entry points under
-// ForceSimdLevel, so the comparison includes dispatch overhead exactly as
-// the serve path pays it.
 
 namespace {
 constexpr std::size_t kDecodeRecords = 25;  // paper fan-out
@@ -597,38 +584,20 @@ std::string MakePackedCell(std::size_t n) {
   return w.Take();
 }
 
-void RunCellDecode(benchmark::State& state, util::simd::SimdLevel level) {
-  if (level == util::simd::SimdLevel::kAvx2 &&
-      !(util::simd::kHasAvx2Kernels && util::simd::CpuHasAvx2())) {
-    state.SkipWithError("AVX2 kernels unavailable on this host");
-    return;
-  }
-  util::simd::ForceSimdLevel(level);
+}  // namespace
+
+static void BM_CellDecode(benchmark::State& state) {
   const std::string cell = MakePackedCell(kDecodeRecords);
   const char* records = cell.data() + 12;  // skip [event_ts][n] header
   util::AlignedVector<std::uint64_t> dst(kDecodeRecords);
-  util::AlignedVector<float> weight(kDecodeRecords);
   for (auto _ : state) {
     util::simd::GatherStridedU64(records, 20, kDecodeRecords, dst.data());
-    util::simd::GatherStridedF32(records + 16, 20, kDecodeRecords, weight.data());
     benchmark::DoNotOptimize(dst.data());
-    benchmark::DoNotOptimize(weight.data());
   }
-  util::simd::ResetSimdLevel();
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kDecodeRecords * 20);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kDecodeRecords);
 }
-}  // namespace
-
-static void BM_CellDecodeScalar(benchmark::State& state) {
-  RunCellDecode(state, util::simd::SimdLevel::kScalar);
-}
-BENCHMARK(BM_CellDecodeScalar);
-
-static void BM_CellDecodeSimd(benchmark::State& state) {
-  RunCellDecode(state, util::simd::SimdLevel::kAvx2);
-}
-BENCHMARK(BM_CellDecodeSimd);
+BENCHMARK(BM_CellDecode);
 
 namespace {
 void RunGather(benchmark::State& state, FeatureFormat format) {

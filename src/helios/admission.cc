@@ -30,7 +30,6 @@ AdmissionQueue::AdmissionQueue(Options options, obs::MetricsRegistry* registry,
     m_.shed_overload = registry->GetCounter("serving.admission.shed_overload", labels);
     m_.shed_deadline = registry->GetCounter("serving.admission.shed_deadline", labels);
     m_.shed_cache = registry->GetCounter("serving.cache.shed", labels);
-    m_.batches = registry->GetCounter("serving.admission.batches", labels);
     m_.queue_depth = registry->GetGauge("serving.admission.queue_depth", labels);
     m_.slack_us = registry->GetLatency("serving.admission.slack_us", labels);
     m_.wait_us = registry->GetLatency("serving.admission.wait_us", labels);
@@ -86,8 +85,8 @@ AdmissionQueue::Outcome AdmissionQueue::Offer(QueryTicket t, std::int64_t now) {
 // head is urgent (slack under kUrgencyFactor × kMissCostUs) or the hit
 // class is empty. With `shed_expired`, expired tickets shed here. Returns
 // false when both queues are empty.
-bool AdmissionQueue::PopLocked(std::int64_t now, bool shed_expired,
-                               std::vector<QueryTicket>& out) {
+bool AdmissionQueue::Pop(std::int64_t now, bool shed_expired, QueryTicket& ticket) {
+  std::lock_guard<std::mutex> lock(mu_);
   while (!hit_q_.empty() || !miss_q_.empty()) {
     Heap* q = nullptr;
     if (hit_q_.empty()) {
@@ -106,30 +105,23 @@ bool AdmissionQueue::PopLocked(std::int64_t now, bool shed_expired,
       if (m_.shed_cache != nullptr) m_.shed_cache->Add(1);
       continue;
     }
-    out.push_back(t);
+    ticket = t;
     if (m_.wait_us != nullptr && now > t.enqueue_us) {
       m_.wait_us->Record(static_cast<std::uint64_t>(now - t.enqueue_us));
     }
+    if (m_.queue_depth != nullptr) m_.queue_depth->Set(static_cast<std::int64_t>(DepthLocked()));
     return true;
   }
+  if (m_.queue_depth != nullptr) m_.queue_depth->Set(0);
   return false;
 }
 
-std::size_t AdmissionQueue::NextBatch(std::int64_t now, std::vector<QueryTicket>& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  while (n < options_.max_batch && PopLocked(now, /*shed_expired=*/true, out)) ++n;
-  if (n > 0 && m_.batches != nullptr) m_.batches->Add(1);
-  if (m_.queue_depth != nullptr) m_.queue_depth->Set(static_cast<std::int64_t>(DepthLocked()));
-  return n;
+bool AdmissionQueue::Next(std::int64_t now, QueryTicket& ticket) {
+  return Pop(now, /*shed_expired=*/true, ticket);
 }
 
-std::size_t AdmissionQueue::Drain(std::int64_t now, std::vector<QueryTicket>& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  while (PopLocked(now, /*shed_expired=*/false, out)) ++n;
-  if (m_.queue_depth != nullptr) m_.queue_depth->Set(0);
-  return n;
+bool AdmissionQueue::Drain(std::int64_t now, QueryTicket& ticket) {
+  return Pop(now, /*shed_expired=*/false, ticket);
 }
 
 void AdmissionQueue::Complete(const QueryTicket& ticket, std::int64_t now, std::size_t bytes) {

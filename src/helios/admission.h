@@ -1,6 +1,6 @@
 // SLO-aware query admission — the serving tier's front door (docs/PERF.md
 // "Computation reuse & admission"), and the one implementation of a
-// ticket's life for both runtimes: Offer, pop (NextBatch / Drain),
+// ticket's life for both runtimes: Offer, pop (Next / Drain),
 // Complete, and the books that say when every admitted ticket is done.
 // Each runtime supplies only its clock and its serve call.
 //
@@ -8,7 +8,7 @@
 // holds two classes, split by a cache-likelihood probe (a small recent-seed
 // table fed by each completion): hit-likely tickets are cheap to serve —
 // their hop-1 aggregates are probably resident in the AggregateCache — so
-// batches prefer them (shortest-job-first drains more queries before their
+// pops prefer them (shortest-job-first drains more queries before their
 // deadlines under load), while a miss-likely ticket whose slack runs low
 // preempts (earliest-deadline-first within each class, so nothing starves
 // until the system is genuinely overloaded — at which point shedding is
@@ -21,13 +21,13 @@
 //                    and the ticket's slack is already below the miss-path
 //                    cost estimate — it would miss its deadline anyway, so
 //                    don't let it displace ones that won't;
-//   - shed_deadline: NextBatch() pops a ticket whose deadline has passed.
+//   - shed_deadline: Next() pops a ticket whose deadline has passed.
 // Drain() bypasses shedding entirely: fences and shutdown want every
 // admitted query answered, not dropped (the drain-on-fence contract).
 //
 // Determinism: ordering is (deadline, admission id) — ties break by
 // arrival — and the class probe is a pure function of the completion
-// history, so identical offer/now sequences produce identical batches.
+// history, so identical offer/now sequences produce identical pops.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +64,6 @@ class AdmissionQueue {
 
   struct Options {
     std::size_t max_depth = 4096;  // shed-on-full bound
-    std::size_t max_batch = 32;
   };
 
   enum class Outcome { kAdmitted, kShedFull, kShedOverload };
@@ -85,13 +84,15 @@ class AdmissionQueue {
   // Offers one query; on admission stamps t.id and enqueues.
   Outcome Offer(QueryTicket t, std::int64_t now);
 
-  // Pops up to max_batch due tickets into `out` (appended), shedding any
-  // whose deadline already passed. Returns the number appended.
-  std::size_t NextBatch(std::int64_t now, std::vector<QueryTicket>& out);
+  // Pops the next ticket into `ticket`, shedding on the way every one
+  // whose deadline already passed at `now`. Callers pop right before each
+  // serve, so a ticket that expires while another is served sheds at its
+  // own pop. False when the queue is empty.
+  bool Next(std::int64_t now, QueryTicket& ticket);
 
-  // Pops everything, in NextBatch's order at `now`, with no shedding
-  // (drain-on-fence).
-  std::size_t Drain(std::int64_t now, std::vector<QueryTicket>& out);
+  // Pops the next ticket in Next's order at `now`, with no shedding
+  // (drain-on-fence). False when the queue is empty.
+  bool Drain(std::int64_t now, QueryTicket& ticket);
 
   // A popped ticket was answered at `now` with a `bytes`-byte reply:
   // records it to the hub (latency now − enqueue, budget deadline −
@@ -109,7 +110,7 @@ class AdmissionQueue {
 
   // Empties the hot-seed table. Called on shard ownership change (migration,
   // recovery): the hints describe the *previous* owner's AggregateCache, and
-  // classifying a seed hit-likely against a cold cache would batch it with
+  // classifying a seed hit-likely against a cold cache would queue it with
   // the cheap tickets and blow its deadline (docs/ELASTICITY.md).
   void FlushHotSeeds();
 
@@ -150,7 +151,7 @@ class AdmissionQueue {
     return util::MixHash(seed) & (kHotSeedSlots - 1);
   }
   std::size_t DepthLocked() const { return hit_q_.size() + miss_q_.size(); }
-  bool PopLocked(std::int64_t now, bool shed_expired, std::vector<QueryTicket>& out);
+  bool Pop(std::int64_t now, bool shed_expired, QueryTicket& ticket);
 
   Options options_;
   obs::TelemetryHub* telemetry_;
@@ -172,7 +173,6 @@ class AdmissionQueue {
     // Shares the "serving.cache.shed" registry cell with ServingCore so the
     // cache dashboard sees sheds regardless of which tier dropped them.
     obs::Counter* shed_cache = nullptr;
-    obs::Counter* batches = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::LatencyMetric* slack_us = nullptr;  // at admission
     obs::LatencyMetric* wait_us = nullptr;   // enqueue -> pop

@@ -58,20 +58,6 @@ bool SamplingShardCore::AdmitCtrl(const SubscriptionDelta& delta) {
   return false;
 }
 
-SamplingShardCore::Stats SamplingShardCore::stats() const {
-  Stats s;
-  s.updates_processed = m_.updates_processed->Value();
-  s.edges_offered = m_.edges_offered->Value();
-  s.cells = static_cast<std::uint64_t>(m_.cells->Value());
-  s.sample_updates_sent = m_.sample_updates_sent->Value();
-  s.sample_deltas_sent = m_.sample_deltas_sent->Value();
-  s.feature_updates_sent = m_.feature_updates_sent->Value();
-  s.retracts_sent = m_.retracts_sent->Value();
-  s.sub_deltas_sent = m_.sub_deltas_sent->Value();
-  s.features_stored = static_cast<std::uint64_t>(m_.features_stored->Value());
-  return s;
-}
-
 void SamplingShardCore::OnGraphUpdate(const graph::GraphUpdate& update, std::int64_t origin_us,
                                       Outputs& out, const obs::TraceContext& trace) {
   current_trace_ = trace;

@@ -58,20 +58,6 @@ class SamplingShardCore {
     obs::MetricsRegistry* registry = nullptr;
   };
 
-  // Legacy view of the registry metrics (kept so existing callers and
-  // benches read one struct; see stats()).
-  struct Stats {
-    std::uint64_t updates_processed = 0;
-    std::uint64_t edges_offered = 0;
-    std::uint64_t cells = 0;
-    std::uint64_t sample_updates_sent = 0;   // full-cell snapshots
-    std::uint64_t sample_deltas_sent = 0;    // incremental refreshes
-    std::uint64_t feature_updates_sent = 0;
-    std::uint64_t retracts_sent = 0;
-    std::uint64_t sub_deltas_sent = 0;
-    std::uint64_t features_stored = 0;
-  };
-
   // Message sink filled by the event handlers. Serving-bound messages
   // accumulate in per-destination batch builders (ServingBatchSet) that
   // coalesce same-cell deltas and keep their allocations across windows —
@@ -113,11 +99,9 @@ class SamplingShardCore {
   // cells / cascaded unsubscribes for anything that changed.
   void Prune(graph::Timestamp cutoff, Outputs& out);
 
-  // Thin view assembled from the registry handles (not a reference: the
-  // authoritative cells live in the MetricsRegistry).
-  Stats stats() const;
   // The registry this core records into (the shared one, or the private
-  // fallback when Options.registry was null).
+  // fallback when Options.registry was null): its "sampling.*" cells are
+  // the core's counters.
   const obs::MetricsRegistry& metrics() const { return *registry_; }
   const QueryPlan& plan() const { return plan_; }
   std::uint32_t shard_id() const { return shard_id_; }

@@ -558,20 +558,6 @@ ServingCore::ServingCore(QueryPlan plan, std::uint32_t worker_id, Options option
   m_.query_arena_bytes = registry_->GetLatency("serving.query.arena_bytes", labels);
 }
 
-ServingCore::Stats ServingCore::stats() const {
-  Stats s;
-  s.sample_updates_applied = m_.sample_updates_applied->Value();
-  s.sample_deltas_applied = m_.sample_deltas_applied->Value();
-  s.feature_updates_applied = m_.feature_updates_applied->Value();
-  s.retracts_applied = m_.retracts_applied->Value();
-  s.queries_served = m_.queries_served->Value();
-  s.cache_miss_cells = m_.cache_miss_cells->Value();
-  s.cache_miss_features = m_.cache_miss_features->Value();
-  s.bad_cells = m_.bad_cells->Value();
-  s.latest_event_ts = m_.latest_event_ts->Value();
-  return s;
-}
-
 void ServingCore::PublishCacheStats() {
   store_->PublishTo(registry_, {{"worker", std::to_string(worker_id_)}});
 }

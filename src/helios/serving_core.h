@@ -156,8 +156,6 @@ class FeatureTable {
 
   // Total floats resident in the arena (diagnostics / serving.query.*).
   std::size_t arena_floats() const { return arena_.size(); }
-  // Arena base for alignment assertions in tests.
-  const float* arena_data() const { return arena_.data(); }
 
  private:
   enum SlotState : std::uint8_t { kEmpty = 0, kUsed = 1, kTombstone = 2 };
@@ -205,7 +203,6 @@ class AggregateCache {
 
   bool enabled() const { return max_entries_ > 0; }
   std::size_t size() const;
-  std::size_t max_entries() const { return max_entries_; }
   // Times the table hit capacity and retired the whole population.
   std::uint64_t epoch_flushes() const;
 
@@ -390,21 +387,6 @@ class ServingCore {
     std::int64_t aggregate_staleness_us = -1;
   };
 
-  // Legacy view assembled from the registry handles (see stats()).
-  struct Stats {
-    std::uint64_t sample_updates_applied = 0;
-    std::uint64_t sample_deltas_applied = 0;
-    std::uint64_t feature_updates_applied = 0;
-    std::uint64_t retracts_applied = 0;
-    std::uint64_t queries_served = 0;
-    std::uint64_t cache_miss_cells = 0;
-    std::uint64_t cache_miss_features = 0;
-    std::uint64_t bad_cells = 0;  // cells present but truncated/undecodable
-    // max(apply_time - origin_us) style staleness is tracked by drivers;
-    // the core records event-time staleness of applied updates instead.
-    graph::Timestamp latest_event_ts = 0;
-  };
-
   ServingCore(QueryPlan plan, std::uint32_t worker_id, Options options);
   ServingCore(QueryPlan plan, std::uint32_t worker_id)
       : ServingCore(std::move(plan), worker_id, Options{}) {}
@@ -455,8 +437,8 @@ class ServingCore {
   // per-cell decode or allocation.
   std::size_t EvictOlderThan(graph::Timestamp cutoff);
 
-  Stats stats() const;
-  // The registry this core records into.
+  // The registry this core records into: its "serving.*" cells are the
+  // core's counters.
   const obs::MetricsRegistry& metrics() const { return *registry_; }
   const QueryPlan& plan() const { return plan_; }
   std::uint32_t worker_id() const { return worker_id_; }

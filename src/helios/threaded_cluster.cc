@@ -395,7 +395,10 @@ void ThreadedCluster::Stop() {
   if (query_pump_.joinable()) query_pump_.join();
   // Fence semantics: admitted queries are answered before shutdown, never
   // dropped (serving is synchronous and needs no actor pools).
-  for (std::uint32_t w = 0; w < admission_queues_.size(); ++w) PumpOnce(w, /*drain=*/true);
+  for (std::uint32_t w = 0; w < admission_queues_.size(); ++w) {
+    while (PumpOnce(w, /*drain=*/true)) {
+    }
+  }
   system_->Shutdown();
   // Every pool thread is joined: no drain slice can reference a replaced
   // actor incarnation any more, so the graveyard can finally be freed.
@@ -507,30 +510,24 @@ AdmissionQueue::Outcome ThreadedCluster::SubmitQuery(graph::VertexId seed,
   return admission_queues_[RouteOf(seed)]->Offer(t, wall_clock_.NowMicros());
 }
 
-std::size_t ThreadedCluster::PumpOnce(std::uint32_t worker, bool drain) {
+bool ThreadedCluster::PumpOnce(std::uint32_t worker, bool drain) {
   // Nobody reads a pumped result: one per thread, reused like ServeOn's
   // scratch, so a steady-state ticket allocates nothing.
-  static thread_local std::vector<QueryTicket> batch;
   static thread_local SampledSubgraph result;
   AdmissionQueue& queue = *admission_queues_[worker];
-  batch.clear();
-  if (drain) {
-    queue.Drain(wall_clock_.NowMicros(), batch);
-  } else {
-    queue.NextBatch(wall_clock_.NowMicros(), batch);
-  }
-  for (const QueryTicket& t : batch) {
-    ServeOn(worker, t.seed, result);
-    queue.Complete(t, wall_clock_.NowMicros(), ResponseBytes(result));
-  }
-  return batch.size();
+  const std::int64_t now = wall_clock_.NowMicros();
+  QueryTicket t;
+  if (!(drain ? queue.Drain(now, t) : queue.Next(now, t))) return false;
+  ServeOn(worker, t.seed, result);
+  queue.Complete(t, wall_clock_.NowMicros(), ResponseBytes(result));
+  return true;
 }
 
 void ThreadedCluster::QueryPumpLoop() {
   while (running_.load(std::memory_order_acquire)) {
     bool any = false;
     for (std::uint32_t w = 0; w < admission_queues_.size(); ++w) {
-      any = PumpOnce(w, /*drain=*/false) > 0 || any;
+      any = PumpOnce(w, /*drain=*/false) || any;
     }
     if (!any) std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
@@ -661,30 +658,6 @@ ClusterStats ThreadedCluster::Stats() const {
   stats.ctrl_sent = flow_.ctrl_sent->Value();
   stats.ctrl_processed = flow_.ctrl_processed->Value();
   stats.queries_served = flow_.queries_served->Value();
-  for (const auto& shard : LiveShards()) {
-    shard->WithStep([&stats](ShardStep& step) {
-      const auto& s = step.core().stats();
-      stats.sampling.updates_processed += s.updates_processed;
-      stats.sampling.edges_offered += s.edges_offered;
-      stats.sampling.cells += s.cells;
-      stats.sampling.sample_updates_sent += s.sample_updates_sent;
-      stats.sampling.sample_deltas_sent += s.sample_deltas_sent;
-      stats.sampling.feature_updates_sent += s.feature_updates_sent;
-      stats.sampling.retracts_sent += s.retracts_sent;
-      stats.sampling.sub_deltas_sent += s.sub_deltas_sent;
-      stats.sampling.features_stored += s.features_stored;
-    });
-  }
-  for (const auto& core : serving_cores_) {
-    const auto& s = core->stats();
-    stats.serving.sample_updates_applied += s.sample_updates_applied;
-    stats.serving.sample_deltas_applied += s.sample_deltas_applied;
-    stats.serving.feature_updates_applied += s.feature_updates_applied;
-    stats.serving.retracts_applied += s.retracts_applied;
-    stats.serving.queries_served += s.queries_served;
-    stats.serving.cache_miss_cells += s.cache_miss_cells;
-    stats.serving.cache_miss_features += s.cache_miss_features;
-  }
   return stats;
 }
 

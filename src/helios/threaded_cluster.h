@@ -111,6 +111,8 @@ struct ClusterOptions {
   std::string durable_log_dir;
 };
 
+// Cluster-wide message flow. Per-shard and per-worker counters are the
+// "sampling.*" / "serving.*" cells of MetricsSnapshot().
 struct ClusterStats {
   std::uint64_t updates_published = 0;
   std::uint64_t updates_processed = 0;
@@ -119,8 +121,6 @@ struct ClusterStats {
   std::uint64_t ctrl_sent = 0;
   std::uint64_t ctrl_processed = 0;
   std::uint64_t queries_served = 0;
-  SamplingShardCore::Stats sampling;  // aggregated over shards
-  ServingCore::Stats serving;         // aggregated over workers
 };
 
 class ThreadedCluster {
@@ -154,11 +154,11 @@ class ThreadedCluster {
   // ---- admission front door (requires ClusterOptions::enable_admission;
   // SubmitQuery without it aborts)
   // Offers a query with an absolute wall-clock deadline to the owning
-  // worker's AdmissionQueue; a pump thread drains batches by deadline
-  // slack (hit-likely first), serves them and completes each ticket in its
-  // queue. Sheds instead of enqueueing when the queue is full or the
-  // ticket cannot make its deadline under overload ("serving.admission.*"
-  // / "serving.cache.shed" metrics).
+  // worker's AdmissionQueue; a pump thread pops one ticket per serve in
+  // hit-first/EDF order (expired tickets shed at the pop), serves it and
+  // completes it in its queue. Sheds instead of enqueueing when the queue
+  // is full or the ticket cannot make its deadline under overload
+  // ("serving.admission.*" / "serving.cache.shed" metrics).
   AdmissionQueue::Outcome SubmitQuery(graph::VertexId seed, std::int64_t deadline_us);
   // Blocks until every queue is Idle(): each admitted query completed or
   // shed.
@@ -273,10 +273,9 @@ class ThreadedCluster {
                                      ShardLedger& ledger);
   void MonitorLoop();
   void QueryPumpLoop();
-  // One pump step on `worker`'s queue: pops a batch (everything, unshed,
-  // when draining), serves each ticket and completes it. Returns the
-  // tickets served.
-  std::size_t PumpOnce(std::uint32_t worker, bool drain);
+  // One pump step on `worker`'s queue: pops one ticket (unshed when
+  // draining), serves it and completes it. False when nothing was popped.
+  bool PumpOnce(std::uint32_t worker, bool drain);
   // The serve body of Serve() and PumpOnce(): ServeInto on `worker` with
   // the calling thread's scratch, under the serve span, counted in
   // cluster.queries_served.

@@ -15,7 +15,7 @@
 //
 // Every module that used to hand-roll a Stats struct (SamplingShardCore,
 // ServingCore, kv::KvStore, mq::Broker, ThreadedCluster) now records here;
-// the old Stats accessors remain as thin views over registry handles.
+// readers take a Snapshot instead of a per-module view.
 #pragma once
 
 #include <atomic>

@@ -1,66 +1,99 @@
 #include "util/simd.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HELIOS_SIMD_X86 1
+#define HELIOS_X86_GNU 1
 #include <immintrin.h>
 #endif
 
 namespace helios::util::simd {
 
-// ---------------------------------------------------------------- dispatch
+// ---------------------------------------------------------------- kernels
+
+void GatherStridedU64(const char* base, std::size_t stride, std::size_t n, std::uint64_t* out) {
+  for (std::size_t i = 0; i < n; ++i, base += stride) {
+    std::memcpy(&out[i], base, sizeof(std::uint64_t));
+  }
+}
+
+std::int64_t MaxStridedI64(const char* base, std::size_t stride, std::size_t n,
+                           std::int64_t init) {
+  std::int64_t best = init;
+  for (std::size_t i = 0; i < n; ++i, base += stride) {
+    std::int64_t v;
+    std::memcpy(&v, base, sizeof(v));
+    if (v > best) best = v;
+  }
+  return best;
+}
+
+namespace {
+// Exact binary16 -> binary32 widening, branchless so DequantFp16's loop
+// vectorizes: shift the exponent and mantissa into place and rebias the
+// exponent (15 -> 127); an all-ones exponent (inf/NaN) is rebiased once more
+// to 255; a zero exponent (zero or subnormal) is renormalized by one exact
+// float subtraction, 2^-14 * (1 + m/1024) - 2^-14 = m * 2^-24.
+inline float WidenF16(std::uint16_t h) {
+  constexpr std::uint32_t kExp = 0x7C00u << 13;
+  std::uint32_t bits = static_cast<std::uint32_t>(h & 0x7FFFu) << 13;
+  const std::uint32_t exp = bits & kExp;
+  bits += 112u << 23;
+  // Masks, not branches: control flow in the loop body stops vectorization.
+  bits += (112u << 23) & (0u - static_cast<std::uint32_t>(exp == kExp));
+  const std::uint32_t sub_bits =
+      std::bit_cast<std::uint32_t>(std::bit_cast<float>(bits + (1u << 23)) - 0x1p-14f);
+  const std::uint32_t is_sub = 0u - static_cast<std::uint32_t>(exp == 0);
+  bits = (sub_bits & is_sub) | (bits & ~is_sub);
+  return std::bit_cast<float>(bits | static_cast<std::uint32_t>(h & 0x8000u) << 16);
+}
+}  // namespace
+
+// Fixed blocks of eight: GCC's -O2 cost model does not vectorize a loop
+// that needs a scalar epilogue, so the tail runs as its own loop.
+void DequantFp16(const std::uint16_t* in, std::size_t n, float* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t j = 0; j < 8; ++j) out[i + j] = WidenF16(in[i + j]);
+  }
+  for (; i < n; ++i) out[i] = WidenF16(in[i]);
+}
+
+void DequantInt8(const std::int8_t* in, std::size_t n, float scale, float* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(in[i]) * scale;
+}
+
+void AddF32(float* acc, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
+}
+
+void DivF32(float* v, float divisor, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) v[i] /= divisor;
+}
+
+// ---------------------------------------------- SageApply and its dispatch
 
 bool CpuHasAvx2() {
-#ifdef HELIOS_SIMD_X86
-  // F16C is required alongside AVX2 for the fp16 gather; every AVX2 part
-  // shipped with F16C, but probe both to be safe.
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
+#ifdef HELIOS_X86_GNU
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
-}
-
-const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-SimdLevel LevelFromSpelling(std::string_view spelling, SimdLevel autodetected) {
-  if (spelling == "scalar") return SimdLevel::kScalar;
-  if (spelling == "avx2") {
-    // Requesting a level the host cannot execute degrades to scalar: an
-    // override must never fault the process.
-    return CpuHasAvx2() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
-  }
-  return autodetected;  // "auto", empty, or unrecognized
 }
 
 namespace {
 constexpr int kLevelUnset = -1;
 // Cached dispatch decision; kLevelUnset until first use or ForceSimdLevel.
 std::atomic<int> g_level{kLevelUnset};
-
-SimdLevel DetectLevel() {
-  const SimdLevel autodetected = CpuHasAvx2() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
-  const char* env = std::getenv("HELIOS_SIMD");
-  if (env == nullptr) return autodetected;
-  return LevelFromSpelling(env, autodetected);
-}
 }  // namespace
 
 SimdLevel ActiveSimdLevel() {
   int level = g_level.load(std::memory_order_relaxed);
   if (level == kLevelUnset) {
-    level = static_cast<int>(DetectLevel());
+    level = static_cast<int>(CpuHasAvx2() ? SimdLevel::kAvx2 : SimdLevel::kScalar);
     g_level.store(level, std::memory_order_relaxed);
   }
   return static_cast<SimdLevel>(level);
@@ -72,48 +105,6 @@ void ForceSimdLevel(SimdLevel level) {
 }
 
 void ResetSimdLevel() { g_level.store(kLevelUnset, std::memory_order_relaxed); }
-
-// ----------------------------------------------------------- scalar paths
-
-void GatherStridedU64Scalar(const char* base, std::size_t stride, std::size_t n,
-                            std::uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i, base += stride) {
-    std::memcpy(&out[i], base, sizeof(std::uint64_t));
-  }
-}
-
-void GatherStridedF32Scalar(const char* base, std::size_t stride, std::size_t n, float* out) {
-  for (std::size_t i = 0; i < n; ++i, base += stride) {
-    std::memcpy(&out[i], base, sizeof(float));
-  }
-}
-
-std::int64_t MaxStridedI64Scalar(const char* base, std::size_t stride, std::size_t n,
-                                 std::int64_t init) {
-  std::int64_t best = init;
-  for (std::size_t i = 0; i < n; ++i, base += stride) {
-    std::int64_t v;
-    std::memcpy(&v, base, sizeof(v));
-    if (v > best) best = v;
-  }
-  return best;
-}
-
-void DequantFp16Scalar(const std::uint16_t* in, std::size_t n, float* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = F16ToF32(in[i]);
-}
-
-void DequantInt8Scalar(const std::int8_t* in, std::size_t n, float scale, float* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(in[i]) * scale;
-}
-
-void AddF32Scalar(float* acc, const float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
-}
-
-void DivF32Scalar(float* v, float divisor, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) v[i] /= divisor;
-}
 
 void SageApplyScalar(const float* a, const float* b, const float* x, const float* y,
                      std::size_t in, std::size_t width, std::size_t ld, const float* bias,
@@ -133,110 +124,22 @@ void SageApplyScalar(const float* a, const float* b, const float* x, const float
   }
 }
 
-// ------------------------------------------------------------- AVX2 paths
+#ifdef HELIOS_X86_GNU
+
+// Compiled with a per-function target attribute so the rest of the build
+// keeps the default ISA; only ever called after a CPUID check. All vector
+// memory ops are unaligned-safe.
 //
-// Compiled with per-function target attributes so the rest of the build
-// keeps the default ISA; only ever called after a CPUID check. Every loop
-// ends in a scalar tail so any n is accepted, and all vector memory ops
-// are unaligned-safe (gathers take byte offsets with scale 1).
-
-#ifdef HELIOS_SIMD_X86
-
-#define HELIOS_AVX2_FN __attribute__((target("avx2,f16c")))
-
-HELIOS_AVX2_FN void GatherStridedU64Avx2(const char* base, std::size_t stride, std::size_t n,
-                                         std::uint64_t* out) {
-  const std::int64_t s = static_cast<std::int64_t>(stride);
-  const __m256i idx = _mm256_setr_epi64x(0, s, 2 * s, 3 * s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4, base += 4 * stride) {
-    const __m256i v =
-        _mm256_i64gather_epi64(reinterpret_cast<const long long*>(base), idx, 1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-  }
-  GatherStridedU64Scalar(base, stride, n - i, out + i);
-}
-
-HELIOS_AVX2_FN void GatherStridedF32Avx2(const char* base, std::size_t stride, std::size_t n,
-                                         float* out) {
-  const int s = static_cast<int>(stride);
-  const __m256i idx = _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8, base += 8 * stride) {
-    const __m256 v = _mm256_i32gather_ps(reinterpret_cast<const float*>(base), idx, 1);
-    _mm256_storeu_ps(out + i, v);
-  }
-  GatherStridedF32Scalar(base, stride, n - i, out + i);
-}
-
-HELIOS_AVX2_FN std::int64_t MaxStridedI64Avx2(const char* base, std::size_t stride,
-                                              std::size_t n, std::int64_t init) {
-  const std::int64_t s = static_cast<std::int64_t>(stride);
-  const __m256i idx = _mm256_setr_epi64x(0, s, 2 * s, 3 * s);
-  __m256i best = _mm256_set1_epi64x(init);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4, base += 4 * stride) {
-    const __m256i v =
-        _mm256_i64gather_epi64(reinterpret_cast<const long long*>(base), idx, 1);
-    best = _mm256_blendv_epi8(best, v, _mm256_cmpgt_epi64(v, best));
-  }
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best);
-  std::int64_t out = lanes[0];
-  for (int l = 1; l < 4; ++l) {
-    if (lanes[l] > out) out = lanes[l];
-  }
-  return MaxStridedI64Scalar(base, stride, n - i, out);
-}
-
-HELIOS_AVX2_FN void DequantFp16Avx2(const std::uint16_t* in, std::size_t n, float* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    _mm256_storeu_ps(out + i, _mm256_cvtph_ps(h));  // exact widening
-  }
-  DequantFp16Scalar(in + i, n - i, out + i);
-}
-
-HELIOS_AVX2_FN void DequantInt8Avx2(const std::int8_t* in, std::size_t n, float scale,
-                                    float* out) {
-  const __m256 vscale = _mm256_set1_ps(scale);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i q8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(in + i));
-    const __m256 v = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));  // exact widening
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(v, vscale));            // one rounding/lane
-  }
-  DequantInt8Scalar(in + i, n - i, scale, out + i);
-}
-
-HELIOS_AVX2_FN void AddF32Avx2(float* acc, const float* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(acc + i,
-                     _mm256_add_ps(_mm256_loadu_ps(acc + i), _mm256_loadu_ps(x + i)));
-  }
-  AddF32Scalar(acc + i, x + i, n - i);
-}
-
-HELIOS_AVX2_FN void DivF32Avx2(float* v, float divisor, std::size_t n) {
-  const __m256 d = _mm256_set1_ps(divisor);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(v + i, _mm256_div_ps(_mm256_loadu_ps(v + i), d));
-  }
-  DivF32Scalar(v + i, divisor, n - i);
-}
-
 // Register-blocked: each 16-wide output tile lives in two ymm accumulators
 // for the whole k loop (one store per tile instead of a load+store per k),
 // with mul/add only — per lane the op sequence is exactly the scalar loop's
 // (t = a*x; u = b*y; acc += t+u), so results are bit-identical. The relu is
 // a compare+blend rather than max so NaN and -0 behave like the scalar
 // `if (out < 0) out = 0`.
-HELIOS_AVX2_FN void SageApplyAvx2(const float* a, const float* b, const float* x,
-                                  const float* y, std::size_t in, std::size_t width,
-                                  std::size_t ld, const float* bias, bool relu, float* out) {
+__attribute__((target("avx2")))
+void SageApplyAvx2(const float* a, const float* b, const float* x, const float* y,
+                   std::size_t in, std::size_t width, std::size_t ld, const float* bias,
+                   bool relu, float* out) {
   const __m256 zero = _mm256_setzero_ps();
   std::size_t j = 0;
   for (; j + 16 <= width; j += 16) {
@@ -287,74 +190,15 @@ HELIOS_AVX2_FN void SageApplyAvx2(const float* a, const float* b, const float* x
   }
 }
 
-#undef HELIOS_AVX2_FN
+#else  // !HELIOS_X86_GNU — the AVX2 symbol degrades to the scalar loop.
 
-#else  // !HELIOS_SIMD_X86 — the AVX2 symbols degrade to the scalar loops.
-
-void GatherStridedU64Avx2(const char* base, std::size_t stride, std::size_t n,
-                          std::uint64_t* out) {
-  GatherStridedU64Scalar(base, stride, n, out);
-}
-void GatherStridedF32Avx2(const char* base, std::size_t stride, std::size_t n, float* out) {
-  GatherStridedF32Scalar(base, stride, n, out);
-}
-std::int64_t MaxStridedI64Avx2(const char* base, std::size_t stride, std::size_t n,
-                               std::int64_t init) {
-  return MaxStridedI64Scalar(base, stride, n, init);
-}
-void DequantFp16Avx2(const std::uint16_t* in, std::size_t n, float* out) {
-  DequantFp16Scalar(in, n, out);
-}
-void DequantInt8Avx2(const std::int8_t* in, std::size_t n, float scale, float* out) {
-  DequantInt8Scalar(in, n, scale, out);
-}
-void AddF32Avx2(float* acc, const float* x, std::size_t n) { AddF32Scalar(acc, x, n); }
-void DivF32Avx2(float* v, float divisor, std::size_t n) { DivF32Scalar(v, divisor, n); }
 void SageApplyAvx2(const float* a, const float* b, const float* x, const float* y,
                    std::size_t in, std::size_t width, std::size_t ld, const float* bias,
                    bool relu, float* out) {
   SageApplyScalar(a, b, x, y, in, width, ld, bias, relu, out);
 }
 
-#endif  // HELIOS_SIMD_X86
-
-// ------------------------------------------------------ dispatched fronts
-
-void GatherStridedU64(const char* base, std::size_t stride, std::size_t n, std::uint64_t* out) {
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) return GatherStridedU64Avx2(base, stride, n, out);
-  GatherStridedU64Scalar(base, stride, n, out);
-}
-
-void GatherStridedF32(const char* base, std::size_t stride, std::size_t n, float* out) {
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) return GatherStridedF32Avx2(base, stride, n, out);
-  GatherStridedF32Scalar(base, stride, n, out);
-}
-
-std::int64_t MaxStridedI64(const char* base, std::size_t stride, std::size_t n,
-                           std::int64_t init) {
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) return MaxStridedI64Avx2(base, stride, n, init);
-  return MaxStridedI64Scalar(base, stride, n, init);
-}
-
-void DequantFp16(const std::uint16_t* in, std::size_t n, float* out) {
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) return DequantFp16Avx2(in, n, out);
-  DequantFp16Scalar(in, n, out);
-}
-
-void DequantInt8(const std::int8_t* in, std::size_t n, float scale, float* out) {
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) return DequantInt8Avx2(in, n, scale, out);
-  DequantInt8Scalar(in, n, scale, out);
-}
-
-void AddF32(float* acc, const float* x, std::size_t n) {
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) return AddF32Avx2(acc, x, n);
-  AddF32Scalar(acc, x, n);
-}
-
-void DivF32(float* v, float divisor, std::size_t n) {
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) return DivF32Avx2(v, divisor, n);
-  DivF32Scalar(v, divisor, n);
-}
+#endif  // HELIOS_X86_GNU
 
 void SageApply(const float* a, const float* b, const float* x, const float* y, std::size_t in,
                std::size_t width, std::size_t ld, const float* bias, bool relu, float* out) {
@@ -396,26 +240,7 @@ std::uint16_t F32ToF16(float f) {
   return static_cast<std::uint16_t>(sign | a);
 }
 
-float F16ToF32(std::uint16_t h) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1Fu;
-  const std::uint32_t mant = h & 0x3FFu;
-  std::uint32_t bits;
-  if (exp == 0) {
-    // Subnormal (or zero): mant * 2^-24, exact in binary32 (mant <= 1023
-    // and the scale is a power of two).
-    float v = static_cast<float>(mant) * 0x1p-24f;
-    std::memcpy(&bits, &v, sizeof(bits));
-  } else if (exp == 31) {
-    bits = 0x7F800000u | (mant << 13);  // inf / NaN (payload widened)
-  } else {
-    bits = ((exp + 112u) << 23) | (mant << 13);
-  }
-  bits |= sign;
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
+float F16ToF32(std::uint16_t h) { return WidenF16(h); }
 
 float QuantizeInt8(const float* in, std::size_t n, std::int8_t* out) {
   float maxabs = 0.f;

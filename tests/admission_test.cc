@@ -20,10 +20,11 @@ QueryTicket Ticket(graph::VertexId seed, std::int64_t deadline_us) {
   return t;
 }
 
-std::vector<QueryTicket> PopAll(AdmissionQueue& q, std::int64_t now) {
+// Every ticket Next() hands out at `now` (Drain()'s, with `drain`).
+std::vector<QueryTicket> PopAll(AdmissionQueue& q, std::int64_t now, bool drain = false) {
   std::vector<QueryTicket> out;
-  while (q.NextBatch(now, out) > 0) {
-  }
+  QueryTicket t;
+  while (drain ? q.Drain(now, t) : q.Next(now, t)) out.push_back(t);
   return out;
 }
 
@@ -46,27 +47,22 @@ TEST(AdmissionQueue, PopsInDeadlineOrderWithIdTieBreak) {
 TEST(AdmissionQueue, HitClassDrainsFirstUntilMissHeadTurnsUrgent) {
   // The miss class preempts below kUrgencyFactor × kMissCostUs of slack.
   static_assert(AdmissionQueue::kUrgencyFactor * AdmissionQueue::kMissCostUs == 240);
-  AdmissionQueue::Options opt;
-  opt.max_batch = 1;  // one pop per NextBatch so ordering is visible
-  AdmissionQueue q(opt);
+  AdmissionQueue q({});
   q.NoteServed(7);  // seed 7 is now hit-likely
 
   // Miss ticket has the EARLIER deadline but comfortable slack: the
   // hit-likely ticket still goes first (shortest-job-first under load).
   q.Offer(Ticket(9, 1000), 0);
   q.Offer(Ticket(7, 2000), 0);
-  std::vector<QueryTicket> out;
-  q.NextBatch(0, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].seed, 7u);
+  QueryTicket t;
+  ASSERT_TRUE(q.Next(0, t));
+  EXPECT_EQ(t.seed, 7u);
 
   // Same queue state later: the miss head's slack fell under
   // kUrgencyFactor × kMissCostUs, so it preempts.
   q.Offer(Ticket(7, 2000), 800);
-  out.clear();
-  q.NextBatch(800, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].seed, 9u);
+  ASSERT_TRUE(q.Next(800, t));
+  EXPECT_EQ(t.seed, 9u);
 }
 
 TEST(AdmissionQueue, ShedsOnFullQueue) {
@@ -108,14 +104,14 @@ TEST(AdmissionQueue, ShedsExpiredTicketsAtPop) {
   AdmissionQueue q({});
   q.Offer(Ticket(1, 100), 0);
   q.Offer(Ticket(2, 1000), 0);
-  std::vector<QueryTicket> out;
   // At now=500, ticket 1's deadline has passed: shed at pop, never
   // returned; ticket 2 comes out normally.
-  EXPECT_EQ(q.NextBatch(500, out), 1u);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].seed, 2u);
+  QueryTicket t;
+  ASSERT_TRUE(q.Next(500, t));
+  EXPECT_EQ(t.seed, 2u);
   EXPECT_EQ(q.stats().shed_deadline, 1u);
   EXPECT_EQ(q.depth(), 0u);
+  EXPECT_FALSE(q.Next(500, t));
 }
 
 TEST(AdmissionQueue, DrainReturnsEverythingInOrderWithoutShedding) {
@@ -124,11 +120,10 @@ TEST(AdmissionQueue, DrainReturnsEverythingInOrderWithoutShedding) {
   q.Offer(Ticket(5, 400), 0);   // hit class
   q.Offer(Ticket(8, 100), 0);   // miss class, already expired below
   q.Offer(Ticket(9, 9000), 0);  // miss class
-  std::vector<QueryTicket> out;
-  // Drain-on-fence: NextBatch's pick order (the miss head is urgent at
-  // now=0, then the hit class), and the expired ticket is still
-  // delivered, not dropped.
-  EXPECT_EQ(q.Drain(0, out), 3u);
+  // Drain-on-fence: Next's pick order (the miss head is urgent at now=0,
+  // then the hit class), and the expired ticket is still delivered, not
+  // dropped.
+  const auto out = PopAll(q, 0, /*drain=*/true);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].seed, 8u);
   EXPECT_EQ(out[1].seed, 5u);
@@ -145,10 +140,7 @@ TEST(AdmissionQueue, IdenticalSequencesProduceIdenticalBatches) {
     for (int i = 0; i < 20; ++i) {
       q.Offer(Ticket(static_cast<graph::VertexId>(i % 5), 100 + (i * 37) % 400), i);
     }
-    std::vector<QueryTicket> out;
-    while (q.NextBatch(150, out) > 0) {
-    }
-    for (const auto& t : out) order.push_back(t.seed);
+    for (const auto& t : PopAll(q, 150)) order.push_back(t.seed);
     return order;
   };
   EXPECT_EQ(run(), run());
@@ -161,8 +153,8 @@ TEST(AdmissionQueue, ShedMetricsFeedAdmissionAndCacheFamilies) {
   AdmissionQueue q(opt, &registry, nullptr, /*worker=*/3);
   q.Offer(Ticket(1, 100), 0);
   q.Offer(Ticket(2, 100), 0);  // shed_full
-  std::vector<QueryTicket> out;
-  q.NextBatch(500, out);  // shed_deadline
+  QueryTicket t;
+  EXPECT_FALSE(q.Next(500, t));  // shed_deadline
   const obs::Labels labels{{"worker", "3"}};
   EXPECT_EQ(registry.GetCounter("serving.admission.offered", labels)->Value(), 2u);
   EXPECT_EQ(registry.GetCounter("serving.admission.shed_full", labels)->Value(), 1u);
@@ -183,10 +175,10 @@ TEST(AdmissionQueue, CompleteScoresFromEnqueueAgainstTheWholeBudget) {
   obs::TelemetryHub hub(&registry, topt);
   AdmissionQueue q({}, &registry, &hub, /*worker=*/1);
   ASSERT_EQ(q.Offer(Ticket(4, 100), 0), AdmissionQueue::Outcome::kAdmitted);
-  std::vector<QueryTicket> out;
-  ASSERT_EQ(q.NextBatch(50, out), 1u);
+  QueryTicket t;
+  ASSERT_TRUE(q.Next(50, t));
   EXPECT_FALSE(q.Idle());  // popped, still in service
-  q.Complete(out[0], 150, 640);
+  q.Complete(t, 150, 640);
 
   hub.Advance(150);
   EXPECT_EQ(hub.P99Of(0), 0u);
@@ -203,9 +195,8 @@ TEST(AdmissionQueue, CompleteScoresFromEnqueueAgainstTheWholeBudget) {
 
   // Answered by its deadline: an SLO hit, in-deadline.
   ASSERT_EQ(q.Offer(Ticket(5, 300), 200), AdmissionQueue::Outcome::kAdmitted);
-  out.clear();
-  ASSERT_EQ(q.NextBatch(200, out), 1u);
-  q.Complete(out[0], 300, 640);
+  ASSERT_TRUE(q.Next(200, t));
+  q.Complete(t, 300, 640);
   hub.Advance(300);
   EXPECT_EQ(hub.SloHitRate(), 0.5);
   EXPECT_EQ(q.stats().completed_in_deadline, 1u);
@@ -219,19 +210,19 @@ TEST(AdmissionQueue, IdleBalancesAfterDeadlineShedAndDrain) {
   q.Offer(Ticket(1, 100), 0);
   q.Offer(Ticket(2, 1000), 0);
   EXPECT_FALSE(q.Idle());
-  std::vector<QueryTicket> out;
-  ASSERT_EQ(q.NextBatch(500, out), 1u);  // ticket 1 sheds at pop
-  EXPECT_FALSE(q.Idle());                // ticket 2 is in service
-  q.Complete(out[0], 600, 0);
+  QueryTicket t;
+  ASSERT_TRUE(q.Next(500, t));  // ticket 1 sheds at pop
+  EXPECT_FALSE(q.Idle());       // ticket 2 is in service
+  q.Complete(t, 600, 0);
   EXPECT_TRUE(q.Idle());
 
   q.Offer(Ticket(3, 700), 600);
   q.Offer(Ticket(4, 800), 600);
-  out.clear();
-  ASSERT_EQ(q.Drain(10'000, out), 2u);  // both expired, neither shed
+  const auto out = PopAll(q, 10'000, /*drain=*/true);
+  ASSERT_EQ(out.size(), 2u);  // both expired, neither shed
   EXPECT_EQ(q.depth(), 0u);
   EXPECT_FALSE(q.Idle());
-  for (const QueryTicket& t : out) q.Complete(t, 10'000, 0);
+  for (const QueryTicket& d : out) q.Complete(d, 10'000, 0);
   EXPECT_TRUE(q.Idle());
   const auto s = q.stats();
   EXPECT_EQ(s.offered, s.admitted + s.shed_full + s.shed_overload);
@@ -239,6 +230,25 @@ TEST(AdmissionQueue, IdleBalancesAfterDeadlineShedAndDrain) {
   EXPECT_EQ(s.completed, 3u);
   EXPECT_EQ(s.shed_deadline, 1u);
   EXPECT_EQ(s.completed_in_deadline, 1u);
+}
+
+// One pop per serve: a ticket whose deadline passes while the one before
+// it is served sheds at its own pop instead of being answered late.
+TEST(AdmissionQueue, TicketExpiringMidServeShedsAtItsOwnPop) {
+  AdmissionQueue q({});
+  q.Offer(Ticket(1, 100), 0);
+  q.Offer(Ticket(2, 150), 0);
+  QueryTicket t;
+  ASSERT_TRUE(q.Next(50, t));  // both due; ticket 1 goes first
+  EXPECT_EQ(t.seed, 1u);
+  q.Complete(t, 100, 0);         // served until ticket 2's deadline passed
+  EXPECT_FALSE(q.Next(200, t));  // ticket 2 sheds at its own pop
+  EXPECT_TRUE(q.Idle());
+  const auto s = q.stats();
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.completed_in_deadline, 1u);
+  EXPECT_EQ(s.shed_deadline, 1u);
+  EXPECT_EQ(s.admitted, s.completed + s.shed_deadline);
 }
 
 }  // namespace

@@ -214,7 +214,7 @@ TEST_F(ClusterTest, CheckpointAndRestoreIntoFreshCluster) {
   first.Start();
   RunStream(first);
   ASSERT_TRUE(first.Checkpoint(dir.string()).ok());
-  const auto before = first.Stats();
+  const auto cells_before = first.MetricsSnapshot().GaugeTotal("sampling.cells");
   first.Stop();
 
   ThreadedCluster second(plan, options);
@@ -223,8 +223,7 @@ TEST_F(ClusterTest, CheckpointAndRestoreIntoFreshCluster) {
   // known seed must flow through to serving.
   second.Start();
   second.WaitForIngestIdle();
-  const auto after = second.Stats();
-  EXPECT_EQ(after.sampling.cells, before.sampling.cells);
+  EXPECT_EQ(second.MetricsSnapshot().GaugeTotal("sampling.cells"), cells_before);
   second.Stop();
   std::filesystem::remove_all(dir);
 }
@@ -244,7 +243,7 @@ TEST_F(ClusterTest, RepeatedCheckpointsFlipAtomicallyInOneStoreFile) {
   // "last complete" pointers flip to the new round, old rounds are retired.
   RunStream(first);
   ASSERT_TRUE(first.Checkpoint(dir.string()).ok());
-  const auto before = first.Stats();
+  const auto cells_before = first.MetricsSnapshot().GaugeTotal("sampling.cells");
   first.Stop();
 
   // The whole checkpoint is one segment-store file, and it restores the
@@ -261,7 +260,7 @@ TEST_F(ClusterTest, RepeatedCheckpointsFlipAtomicallyInOneStoreFile) {
   ASSERT_TRUE(second.Restore(dir.string()).ok());
   second.Start();
   second.WaitForIngestIdle();
-  EXPECT_EQ(second.Stats().sampling.cells, before.sampling.cells);
+  EXPECT_EQ(second.MetricsSnapshot().GaugeTotal("sampling.cells"), cells_before);
   second.Stop();
   std::filesystem::remove_all(dir);
 }

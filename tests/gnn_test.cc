@@ -194,8 +194,8 @@ std::vector<util::simd::SimdLevel> Levels() {
   return levels;
 }
 
-// A wide randomized sample (fan-out 25x10, dim 10) so the vectorized
-// aggregation kernels run full vector lanes plus remainders.
+// A wide randomized sample (fan-out 25x10, dim 10) so SageApply's AVX2
+// tile runs full vector lanes plus remainders.
 SampledSubgraph WideSample(std::uint64_t seed) {
   SampledSubgraph s;
   s.seed = 1;
@@ -217,8 +217,8 @@ SampledSubgraph WideSample(std::uint64_t seed) {
 }
 }  // namespace
 
-// Acceptance bar: fp32 embeddings are bit-identical whichever kernel set
-// the dispatcher picks — the AVX2 aggregation must not change a single
+// Acceptance bar: fp32 embeddings are bit-identical whichever SageApply
+// level the dispatcher picks — the AVX2 tile must not change a single
 // mantissa bit vs scalar.
 TEST(GraphSage, EmbeddingBitIdenticalAcrossDispatchLevels) {
   SageConfig c;

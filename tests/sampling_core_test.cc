@@ -256,7 +256,7 @@ TEST(SamplingCore, CrossShardDeltasRouteToOwner) {
   // Shard 3 (item's owner) now carries the subscription.
   EXPECT_EQ(mesh.core(3).CellSubscribers(2, item), 1u);
   EXPECT_EQ(mesh.core(0).CellSubscribers(2, item), 0u);
-  EXPECT_GT(mesh.core(0).stats().sub_deltas_sent, 0u);
+  EXPECT_GT(mesh.core(0).metrics().TakeSnapshot().CounterTotal("sampling.sub_deltas_sent"), 0u);
   // And the Q2 snapshot reached the serving worker.
   EXPECT_NE(mesh.Latest(0, ServingMessage::Kind::kSample, item, 2), nullptr);
 }
@@ -358,11 +358,13 @@ TEST(SamplingCore, StatsAccumulate) {
   for (int i = 0; i < 10; ++i) {
     mesh.Ingest(Edge(0, user, MakeVertexId(1, static_cast<std::uint64_t>(i)), 10 + i));
   }
-  const auto& stats = mesh.core(0).stats();
-  EXPECT_EQ(stats.updates_processed, 10u);
-  EXPECT_EQ(stats.edges_offered, 10u);
-  EXPECT_GE(stats.cells, 1u);
-  EXPECT_GT(stats.sample_updates_sent + stats.sample_deltas_sent, 0u);
+  const auto snap = mesh.core(0).metrics().TakeSnapshot();
+  EXPECT_EQ(snap.CounterTotal("sampling.updates_processed"), 10u);
+  EXPECT_EQ(snap.CounterTotal("sampling.edges_offered"), 10u);
+  EXPECT_GE(snap.GaugeTotal("sampling.cells"), 1);
+  EXPECT_GT(snap.CounterTotal("sampling.sample_updates_sent") +
+                snap.CounterTotal("sampling.sample_deltas_sent"),
+            0u);
   EXPECT_GT(mesh.core(0).ApproximateBytes(), 0u);
 }
 
@@ -417,12 +419,12 @@ TEST(SamplingCore, CheckpointRestoreKeepsRegistryMetricsConsistent) {
   ASSERT_TRUE(SamplingShardCore::Deserialize(r, restored));
 
   // Restored state gauges match the checkpointed core immediately.
-  const auto before = mesh.core(0).stats();
-  EXPECT_EQ(restored.stats().cells, before.cells);
-  EXPECT_EQ(restored.stats().features_stored, before.features_stored);
-  EXPECT_GT(restored.stats().features_stored, 0u);
-  EXPECT_EQ(restored.metrics().TakeSnapshot().GaugeTotal("sampling.cells"),
-            static_cast<std::int64_t>(before.cells));
+  const auto before = mesh.core(0).metrics().TakeSnapshot();
+  const auto restored_before = restored.metrics().TakeSnapshot();
+  EXPECT_EQ(restored_before.GaugeTotal("sampling.cells"), before.GaugeTotal("sampling.cells"));
+  EXPECT_EQ(restored_before.GaugeTotal("sampling.features_stored"),
+            before.GaugeTotal("sampling.features_stored"));
+  EXPECT_GT(restored_before.GaugeTotal("sampling.features_stored"), 0);
 
   // Replay the same fresh updates through both cores (single shard: deltas
   // are handled inline, outputs can be dropped).
@@ -436,16 +438,22 @@ TEST(SamplingCore, CheckpointRestoreKeepsRegistryMetricsConsistent) {
   };
   replay(mesh.core(0));
   replay(restored);
-  const auto after = mesh.core(0).stats();
-  const auto restored_stats = restored.stats();
-  EXPECT_EQ(restored_stats.updates_processed, after.updates_processed - before.updates_processed);
-  EXPECT_EQ(restored_stats.edges_offered, after.edges_offered - before.edges_offered);
-  EXPECT_EQ(restored_stats.sample_updates_sent + restored_stats.sample_deltas_sent,
-            after.sample_updates_sent + after.sample_deltas_sent - before.sample_updates_sent -
-                before.sample_deltas_sent);
+  const auto after = mesh.core(0).metrics().TakeSnapshot();
+  const auto restored_after = restored.metrics().TakeSnapshot();
+  // Counters: the restored core counts only what it replayed.
+  const auto moved = [&](const char* name) {
+    return after.CounterTotal(name) - before.CounterTotal(name);
+  };
+  for (const char* name : {"sampling.updates_processed", "sampling.edges_offered"}) {
+    EXPECT_EQ(restored_after.CounterTotal(name), moved(name)) << name;
+  }
+  EXPECT_EQ(restored_after.CounterTotal("sampling.sample_updates_sent") +
+                restored_after.CounterTotal("sampling.sample_deltas_sent"),
+            moved("sampling.sample_updates_sent") + moved("sampling.sample_deltas_sent"));
   // The state gauges track absolute table sizes, so they stay equal.
-  EXPECT_EQ(restored_stats.cells, after.cells);
-  EXPECT_EQ(restored_stats.features_stored, after.features_stored);
+  for (const char* name : {"sampling.cells", "sampling.features_stored"}) {
+    EXPECT_EQ(restored_after.GaugeTotal(name), after.GaugeTotal(name)) << name;
+  }
 }
 
 // The reservoir's offer counter must survive a checkpoint round-trip:

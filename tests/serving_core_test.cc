@@ -14,7 +14,6 @@
 #include "graph/update_codec.h"
 #include "helios/serving_core.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "serve_fresh.h"
 
 namespace helios {
@@ -164,13 +163,15 @@ TEST(ServingCore, StatsTrackAppliesAndMisses) {
   core.Apply(ServingMessage::Of(Feat(user, 1.f)));
   core.Apply(ServingMessage::Of(Retract{1, MakeVertexId(0, 9)}));
   ServeFresh(core, user);
-  const auto& stats = core.stats();
-  EXPECT_EQ(stats.sample_updates_applied, 1u);
-  EXPECT_EQ(stats.feature_updates_applied, 1u);
-  EXPECT_EQ(stats.retracts_applied, 1u);
-  EXPECT_EQ(stats.queries_served, 1u);
-  EXPECT_GT(stats.cache_miss_cells + stats.cache_miss_features, 0u);
-  EXPECT_EQ(stats.latest_event_ts, 77);
+  const auto snap = core.metrics().TakeSnapshot();
+  EXPECT_EQ(snap.CounterTotal("serving.sample_updates_applied"), 1u);
+  EXPECT_EQ(snap.CounterTotal("serving.feature_updates_applied"), 1u);
+  EXPECT_EQ(snap.CounterTotal("serving.retracts_applied"), 1u);
+  EXPECT_EQ(snap.CounterTotal("serving.queries_served"), 1u);
+  EXPECT_GT(snap.CounterTotal("serving.cache_miss_cells") +
+                snap.CounterTotal("serving.cache_miss_features"),
+            0u);
+  EXPECT_EQ(snap.GaugeTotal("serving.latest_event_ts"), 77);
 }
 
 TEST(ServingCore, TtlEvictsStaleCells) {
@@ -309,7 +310,7 @@ TEST(ServingCore, DeltaPatchMatchesReferenceModel) {
   for (std::size_t i = 0; i < model.size(); ++i) {
     EXPECT_EQ(result.layers[1][i].vertex, model[i].first) << i;
   }
-  EXPECT_EQ(core.stats().latest_event_ts, 14);
+  EXPECT_EQ(core.metrics().TakeSnapshot().GaugeTotal("serving.latest_event_ts"), 14);
 
   // A delta for a cell never snapshotted materializes it from empty.
   const auto other = MakeVertexId(0, 2);
@@ -605,109 +606,72 @@ TEST(FeatureTable, InsertDeduplicatesAndClearRestamps) {
   EXPECT_EQ(table.size(), 1u);
 }
 
-// ------------------------------------ fused dedup / SIMD dispatch parity
-
-// Every dispatch level this host can run.
-std::vector<util::simd::SimdLevel> TestableLevels() {
-  std::vector<util::simd::SimdLevel> levels = {util::simd::SimdLevel::kScalar};
-  if (util::simd::kHasAvx2Kernels && util::simd::CpuHasAvx2()) {
-    levels.push_back(util::simd::SimdLevel::kAvx2);
-  }
-  return levels;
-}
+// ------------------------------------------------------ fused dedup
 
 // Property test for the fused-dedup serve path: across randomized
 // fan-outs, duplicate-heavy frontiers (tiny vertex universe so the same
 // child repeats across parents and layers) and truncated cells planted via
 // PutRawCell, the fused path must reproduce the copying sort+unique
 // reference exactly — same BFS layers, same unique feature set, same
-// lookup/miss counters — under every dispatch level.
+// lookup/miss counters. (The serve path has one kernel level, so "all
+// dispatch levels" is that one.)
 TEST(ServingCore, FusedDedupMatchesReferenceUnderAllDispatchLevels) {
-  for (const auto level : TestableLevels()) {
-    util::simd::ForceSimdLevel(level);
-    util::Rng rng(20260808);
-    for (int round = 0; round < 6; ++round) {
-      const std::uint32_t f1 = 1 + static_cast<std::uint32_t>(rng.Uniform(6));
-      const std::uint32_t f2 = 1 + static_cast<std::uint32_t>(rng.Uniform(6));
-      ServingCore core(Plan(f1, f2), 0);
-      const std::uint64_t universe = 5;  // tiny: duplicate-heavy frontiers
-      for (std::uint64_t u = 0; u < universe; ++u) {
-        const auto user = MakeVertexId(0, u);
-        std::vector<graph::VertexId> hop1;
-        for (std::uint32_t i = 0; i < f1; ++i) {
-          hop1.push_back(MakeVertexId(1, rng.Uniform(universe)));
-        }
-        core.Apply(ServingMessage::Of(Cell(1, user, hop1, /*ts=*/1 + u)));
-        const auto item = MakeVertexId(1, u);
-        std::vector<graph::VertexId> hop2;
-        for (std::uint32_t j = 0; j < f2; ++j) {
-          hop2.push_back(MakeVertexId(1, rng.Uniform(universe)));
-        }
-        core.Apply(ServingMessage::Of(Cell(2, item, hop2, /*ts=*/1 + u)));
-        if (rng.Bernoulli(0.7)) core.Apply(ServingMessage::Of(Feat(user, static_cast<float>(u))));
-        if (rng.Bernoulli(0.7)) {
-          core.Apply(ServingMessage::Of(Feat(item, static_cast<float>(u) + 0.5f)));
-        }
-      }
-      // Plant truncated cells: a valid encoding cut mid-record. Both paths
-      // must treat them as missing (and the fused path counts them bad).
-      std::uint64_t planted_bad = 0;
-      for (std::uint64_t u = 0; u < universe; ++u) {
-        if (!rng.Bernoulli(0.4)) continue;
-        SampleUpdate su = Cell(2, MakeVertexId(1, u), {MakeVertexId(1, 0), MakeVertexId(1, 1)});
-        graph::ByteWriter w;
-        w.PutI64(su.event_ts);
-        w.PutU32(static_cast<std::uint32_t>(su.samples.size()));
-        for (const auto& e : su.samples) {
-          w.PutU64(e.dst);
-          w.PutI64(e.ts);
-          w.PutF32(e.weight);
-        }
-        std::string raw = w.Take();
-        raw.resize(raw.size() - 1 - rng.Uniform(20));  // cut inside a record
-        core.PutRawCell(2, MakeVertexId(1, u), raw);
-        ++planted_bad;
-      }
-      SampledSubgraph reused;
-      ServeScratch scratch;
-      bool saw_bad = false;
-      for (std::uint64_t u = 0; u < universe; ++u) {
-        const auto seed = MakeVertexId(0, u);
-        const auto want = ReferenceServe(core, seed);
-        core.ServeInto(seed, reused, scratch);
-        ExpectSameResult(reused, want);
-        saw_bad = saw_bad || reused.bad_cells > 0;
-      }
-      if (planted_bad > 0) EXPECT_TRUE(saw_bad) << "planted truncated cells never surfaced";
-    }
-    util::simd::ResetSimdLevel();
-  }
-}
-
-// fp32 serve results must be bit-identical across dispatch levels (the
-// acceptance bar: vectorization must not change a single mantissa bit).
-TEST(ServingCore, Fp32ServeBitIdenticalAcrossDispatchLevels) {
-  const auto levels = TestableLevels();
-  std::vector<SampledSubgraph> results;
-  for (const auto level : levels) {
-    util::simd::ForceSimdLevel(level);
-    ServingCore core(Plan(3, 3), 0);
-    util::Rng rng(99);
-    for (std::uint64_t u = 0; u < 8; ++u) {
+  util::Rng rng(20260808);
+  for (int round = 0; round < 6; ++round) {
+    const std::uint32_t f1 = 1 + static_cast<std::uint32_t>(rng.Uniform(6));
+    const std::uint32_t f2 = 1 + static_cast<std::uint32_t>(rng.Uniform(6));
+    ServingCore core(Plan(f1, f2), 0);
+    const std::uint64_t universe = 5;  // tiny: duplicate-heavy frontiers
+    for (std::uint64_t u = 0; u < universe; ++u) {
       const auto user = MakeVertexId(0, u);
+      std::vector<graph::VertexId> hop1;
+      for (std::uint32_t i = 0; i < f1; ++i) {
+        hop1.push_back(MakeVertexId(1, rng.Uniform(universe)));
+      }
+      core.Apply(ServingMessage::Of(Cell(1, user, hop1, /*ts=*/1 + u)));
       const auto item = MakeVertexId(1, u);
-      core.Apply(ServingMessage::Of(
-          Cell(1, user, {MakeVertexId(1, rng.Uniform(8)), MakeVertexId(1, rng.Uniform(8))})));
-      core.Apply(ServingMessage::Of(
-          Cell(2, item, {MakeVertexId(1, rng.Uniform(8)), MakeVertexId(1, rng.Uniform(8))})));
-      core.Apply(ServingMessage::Of(Feat(user, 0.137f * static_cast<float>(u + 1))));
-      core.Apply(ServingMessage::Of(Feat(item, -2.5f / static_cast<float>(u + 1))));
+      std::vector<graph::VertexId> hop2;
+      for (std::uint32_t j = 0; j < f2; ++j) {
+        hop2.push_back(MakeVertexId(1, rng.Uniform(universe)));
+      }
+      core.Apply(ServingMessage::Of(Cell(2, item, hop2, /*ts=*/1 + u)));
+      if (rng.Bernoulli(0.7)) core.Apply(ServingMessage::Of(Feat(user, static_cast<float>(u))));
+      if (rng.Bernoulli(0.7)) {
+        core.Apply(ServingMessage::Of(Feat(item, static_cast<float>(u) + 0.5f)));
+      }
     }
-    results.push_back(ServeFresh(core, MakeVertexId(0, 3)));
-    util::simd::ResetSimdLevel();
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ExpectSameResult(results[i], results[0]);  // EXPECT_EQ on floats = bitwise
+    // Plant truncated cells: a valid encoding cut mid-record. Both paths
+    // must treat them as missing (and the fused path counts them bad).
+    std::uint64_t planted_bad = 0;
+    for (std::uint64_t u = 0; u < universe; ++u) {
+      if (!rng.Bernoulli(0.4)) continue;
+      SampleUpdate su = Cell(2, MakeVertexId(1, u), {MakeVertexId(1, 0), MakeVertexId(1, 1)});
+      graph::ByteWriter w;
+      w.PutI64(su.event_ts);
+      w.PutU32(static_cast<std::uint32_t>(su.samples.size()));
+      for (const auto& e : su.samples) {
+        w.PutU64(e.dst);
+        w.PutI64(e.ts);
+        w.PutF32(e.weight);
+      }
+      std::string raw = w.Take();
+      raw.resize(raw.size() - 1 - rng.Uniform(20));  // cut inside a record
+      core.PutRawCell(2, MakeVertexId(1, u), raw);
+      ++planted_bad;
+    }
+    SampledSubgraph reused;
+    ServeScratch scratch;
+    bool saw_bad = false;
+    for (std::uint64_t u = 0; u < universe; ++u) {
+      const auto seed = MakeVertexId(0, u);
+      const auto want = ReferenceServe(core, seed);
+      core.ServeInto(seed, reused, scratch);
+      ExpectSameResult(reused, want);
+      saw_bad = saw_bad || reused.bad_cells > 0;
+    }
+    if (planted_bad > 0) {
+      EXPECT_TRUE(saw_bad) << "planted truncated cells never surfaced";
+    }
   }
 }
 
@@ -806,9 +770,12 @@ TEST(ServingCore, TruncatedCellsCountedNotSilentlyClamped) {
   EXPECT_EQ(out.bad_cells, 1u);
   EXPECT_EQ(out.missing_cells, 1u);           // bad ⇒ also missing
   EXPECT_EQ(out.layers[2].size(), 1u);        // only i2's intact cell expands
-  EXPECT_EQ(core.stats().bad_cells, 1u);      // exported counter advanced
+  const auto bad_cells = [&] {
+    return core.metrics().TakeSnapshot().CounterTotal("serving.bad_cells");
+  };
+  EXPECT_EQ(bad_cells(), 1u);                 // exported counter advanced
   ServeFresh(core, user);
-  EXPECT_EQ(core.stats().bad_cells, 2u);      // counts per occurrence
+  EXPECT_EQ(bad_cells(), 2u);                 // counts per occurrence
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -480,7 +480,7 @@ TEST(Aligned, AllocatorEqualityAndRebind) {
 // ----------------------------------------------------------------- simd
 
 namespace {
-// Dispatch levels this host can actually execute.
+// SageApply levels this host can actually execute.
 std::vector<simd::SimdLevel> Levels() {
   std::vector<simd::SimdLevel> levels = {simd::SimdLevel::kScalar};
   if (simd::kHasAvx2Kernels && simd::CpuHasAvx2()) levels.push_back(simd::SimdLevel::kAvx2);
@@ -494,64 +494,45 @@ TEST(Simd, ForceOverridesAndResetRestoresDetection) {
   EXPECT_EQ(simd::ActiveSimdLevel(), simd::SimdLevel::kScalar);
   simd::ResetSimdLevel();
   EXPECT_EQ(simd::ActiveSimdLevel(), detected);
-  const char* env = std::getenv("HELIOS_SIMD");
-  if (env != nullptr && *env != '\0') {
-    // Environment pin (CI's scalar-fallback lanes): detection must honor
-    // it rather than the CPUID probe.
-    const auto cpu = (simd::kHasAvx2Kernels && simd::CpuHasAvx2()) ? simd::SimdLevel::kAvx2
-                                                                   : simd::SimdLevel::kScalar;
-    EXPECT_EQ(detected, simd::LevelFromSpelling(env, cpu));
-  } else if (simd::kHasAvx2Kernels && simd::CpuHasAvx2()) {
-    // AVX2 autodetection is consistent with the CPUID probe.
-    EXPECT_EQ(detected, simd::SimdLevel::kAvx2);
-  } else {
-    EXPECT_EQ(detected, simd::SimdLevel::kScalar);
-  }
+  // Detection is the CPUID probe.
+  EXPECT_EQ(detected, (simd::kHasAvx2Kernels && simd::CpuHasAvx2()) ? simd::SimdLevel::kAvx2
+                                                                     : simd::SimdLevel::kScalar);
 }
 
-TEST(Simd, LevelFromSpelling) {
-  const auto det = simd::SimdLevel::kAvx2;
-  EXPECT_EQ(simd::LevelFromSpelling("scalar", det), simd::SimdLevel::kScalar);
-  EXPECT_EQ(simd::LevelFromSpelling("avx2", det), simd::SimdLevel::kAvx2);
-  EXPECT_EQ(simd::LevelFromSpelling("", det), det);           // unset -> autodetect
-  EXPECT_EQ(simd::LevelFromSpelling("garbage", det), det);    // unknown -> autodetect
-  EXPECT_STREQ(simd::SimdLevelName(simd::SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(simd::SimdLevelName(simd::SimdLevel::kAvx2), "avx2");
-}
-
-// Strided gathers: AVX2 variants must agree with scalar bit-for-bit on
-// every length, including the vector-remainder tails.
-TEST(Simd, StridedGatherParityAcrossLevelsAndLengths) {
-  constexpr std::size_t kStride = 20;  // serve-path cell record stride
-  constexpr std::size_t kMax = 67;     // covers 0, <lane, and remainder tails
-  std::vector<char> base(kStride * kMax);
+// Strided extraction over 20-byte cell records (u64 dst | i64 ts | f32 w)
+// against the values the test wrote, on every length from 0 past several
+// vector widths. Each buffer ends exactly at the last field read, so an
+// over-read trips the sanitizer builds; a sentinel catches an over-write.
+TEST(Simd, StridedGatherAndMaxMatchWrittenRecords) {
+  constexpr std::size_t kStride = 20;
   Rng rng(5);
-  for (auto& c : base) c = static_cast<char>(rng.Next());
-  for (std::size_t n = 0; n <= kMax; ++n) {
-    std::vector<std::uint64_t> u_ref(n + 1, 0xABu), u_got(n + 1, 0xABu);
-    std::vector<float> f_ref(n + 1, -7.f), f_got(n + 1, -7.f);
-    simd::GatherStridedU64Scalar(base.data(), kStride, n, u_ref.data());
-    simd::GatherStridedF32Scalar(base.data() + 16, kStride, n, f_ref.data());
-    const auto i64_ref = simd::MaxStridedI64Scalar(base.data() + 8, kStride, n, -1);
-    for (const auto level : Levels()) {
-      simd::ForceSimdLevel(level);
-      simd::GatherStridedU64(base.data(), kStride, n, u_got.data());
-      simd::GatherStridedF32(base.data() + 16, kStride, n, f_got.data());
-      EXPECT_EQ(simd::MaxStridedI64(base.data() + 8, kStride, n, -1), i64_ref) << n;
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(u_got[i], u_ref[i]) << "n=" << n << " i=" << i;
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(f_got[i]), std::bit_cast<std::uint32_t>(f_ref[i]))
-            << "n=" << n << " i=" << i;
-      }
-      EXPECT_EQ(u_got[n], 0xABu) << "wrote past n";  // no overrun
-      EXPECT_EQ(f_got[n], -7.f) << "wrote past n";
-      simd::ResetSimdLevel();
+  for (std::size_t n = 0; n <= 67; ++n) {
+    std::vector<std::uint64_t> dst(n);
+    std::vector<std::int64_t> ts(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[i] = rng.Next();
+      ts[i] = static_cast<std::int64_t>(rng.Next());
     }
+    // dst field: records 0..n-1, the buffer stops after the last dst.
+    std::vector<char> dst_buf(n == 0 ? 0 : (n - 1) * kStride + 8);
+    for (std::size_t i = 0; i < n; ++i) std::memcpy(&dst_buf[i * kStride], &dst[i], 8);
+    std::vector<std::uint64_t> got(n + 1, 0xABu);
+    simd::GatherStridedU64(dst_buf.data(), kStride, n, got.data());
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], dst[i]) << "n=" << n << " i=" << i;
+    EXPECT_EQ(got[n], 0xABu) << "wrote past n=" << n;
+
+    // ts field, same layout; the max starts from `init`.
+    std::vector<char> ts_buf(n == 0 ? 0 : (n - 1) * kStride + 8);
+    for (std::size_t i = 0; i < n; ++i) std::memcpy(&ts_buf[i * kStride], &ts[i], 8);
+    std::int64_t want = -1;
+    for (const std::int64_t v : ts) want = v > want ? v : want;
+    EXPECT_EQ(simd::MaxStridedI64(ts_buf.data(), kStride, n, -1), want) << "n=" << n;
   }
 }
 
-// Elementwise float kernels: value-exact across levels and lengths.
-TEST(Simd, AddDivParityAcrossLevelsAndLengths) {
+// Elementwise float kernels against the per-element IEEE result, on every
+// length from 0 past several vector widths; inputs sized exactly n.
+TEST(Simd, AddDivMatchElementwiseResult) {
   Rng rng(6);
   for (std::size_t n = 0; n <= 40; ++n) {
     std::vector<float> a(n), b(n);
@@ -559,20 +540,19 @@ TEST(Simd, AddDivParityAcrossLevelsAndLengths) {
       a[i] = static_cast<float>(rng.UniformDouble() * 100 - 50);
       b[i] = static_cast<float>(rng.UniformDouble() * 100 - 50);
     }
-    std::vector<float> add_ref = a, div_ref = a;
-    simd::AddF32Scalar(add_ref.data(), b.data(), n);
-    simd::DivF32Scalar(div_ref.data(), 3.f, n);
-    for (const auto level : Levels()) {
-      simd::ForceSimdLevel(level);
-      std::vector<float> add_got = a, div_got = a;
-      simd::AddF32(add_got.data(), b.data(), n);
-      simd::DivF32(div_got.data(), 3.f, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(add_got[i]), std::bit_cast<std::uint32_t>(add_ref[i]));
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(div_got[i]), std::bit_cast<std::uint32_t>(div_ref[i]));
-      }
-      simd::ResetSimdLevel();
+    std::vector<float> sum(a), quot(a);
+    sum.push_back(-7.f);  // sentinels
+    quot.push_back(-7.f);
+    simd::AddF32(sum.data(), b.data(), n);
+    simd::DivF32(quot.data(), 3.f, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float want_sum = a[i] + b[i];
+      const float want_quot = a[i] / 3.f;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(sum[i]), std::bit_cast<std::uint32_t>(want_sum));
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(quot[i]), std::bit_cast<std::uint32_t>(want_quot));
     }
+    EXPECT_EQ(sum[n], -7.f) << "wrote past n=" << n;
+    EXPECT_EQ(quot[n], -7.f) << "wrote past n=" << n;
   }
 }
 
@@ -599,23 +579,45 @@ TEST(Simd, Fp16KnownVectorsAndRoundTrip) {
     EXPECT_EQ(simd::F32ToF16(simd::F16ToF32(half)), half) << std::hex << h;
   }
 
-  // Vector dequant agrees with the scalar widening on all lengths/levels.
-  std::vector<std::uint16_t> in;
-  for (std::uint32_t h = 0; h < 40; ++h) in.push_back(static_cast<std::uint16_t>(h * 1309));
-  for (const auto level : Levels()) {
-    simd::ForceSimdLevel(level);
-    for (std::size_t n = 0; n <= in.size(); ++n) {
-      std::vector<float> out(n + 1, -1.f);
-      simd::DequantFp16(in.data(), n, out.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        if ((in[i] & 0x7C00) == 0x7C00) continue;
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
-                  std::bit_cast<std::uint32_t>(simd::F16ToF32(in[i])))
-            << i;
-      }
-      EXPECT_EQ(out[n], -1.f);
+  // Row dequant against the binary16 value computed independently of
+  // F16ToF32 — (-1)^s · 2^(e-15) · (1 + m/1024), or 2^-14 · m/1024 when
+  // e == 0 — on every length, reading exactly n inputs and writing
+  // exactly n outputs.
+  const auto half_value = [](std::uint16_t h) {
+    const int e = (h >> 10) & 0x1F;
+    const int m = h & 0x3FF;
+    const double mag = e == 0 ? std::ldexp(m, -24) : std::ldexp(1024 + m, e - 25);
+    return static_cast<float>((h & 0x8000) != 0 ? -mag : mag);
+  };
+  std::vector<std::uint16_t> all;
+  for (std::uint32_t h = 0; h < 40; ++h) all.push_back(static_cast<std::uint16_t>(h * 1309));
+  for (std::size_t n = 0; n <= all.size(); ++n) {
+    const std::vector<std::uint16_t> in(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n));
+    std::vector<float> out(n + 1, -1.f);
+    simd::DequantFp16(in.data(), n, out.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((in[i] & 0x7C00) == 0x7C00) continue;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                std::bit_cast<std::uint32_t>(half_value(in[i])))
+          << i;
     }
-    simd::ResetSimdLevel();
+    EXPECT_EQ(out[n], -1.f);
+  }
+
+  // Every code, through the row kernel and the scalar widening: finite
+  // values against half_value (zeros and subnormals included), inf/NaN to
+  // the binary32 inf/NaN with the same sign and payload.
+  std::vector<std::uint16_t> codes(0x10000);
+  for (std::uint32_t h = 0; h <= 0xFFFF; ++h) codes[h] = static_cast<std::uint16_t>(h);
+  std::vector<float> wide(codes.size());
+  simd::DequantFp16(codes.data(), codes.size(), wide.data());
+  for (std::uint32_t h = 0; h <= 0xFFFF; ++h) {
+    const std::uint32_t want =
+        (h & 0x7C00) == 0x7C00
+            ? ((h & 0x8000u) << 16) | 0x7F800000u | ((h & 0x3FFu) << 13)
+            : std::bit_cast<std::uint32_t>(half_value(codes[h]));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(wide[h]), want) << std::hex << h;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(simd::F16ToF32(codes[h])), want) << std::hex << h;
   }
 }
 
@@ -630,14 +632,12 @@ TEST(Simd, QuantizeInt8WithinHalfStepBound) {
     std::vector<std::int8_t> q(n);
     const float scale = simd::QuantizeInt8(x.data(), n, q.data());
     ASSERT_GT(scale, 0.f);
-    for (const auto level : Levels()) {
-      simd::ForceSimdLevel(level);
-      std::vector<float> back(n);
-      simd::DequantInt8(q.data(), n, scale, back.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_LE(std::abs(x[i] - back[i]), scale / 2.f + 1e-9f) << i;
-      }
-      simd::ResetSimdLevel();
+    std::vector<float> back(n);
+    simd::DequantInt8(q.data(), n, scale, back.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
+                std::bit_cast<std::uint32_t>(static_cast<float>(q[i]) * scale));
+      EXPECT_LE(std::abs(x[i] - back[i]), scale / 2.f + 1e-9f) << i;
     }
   }
   // All-zero input: scale 0 convention, dequant reproduces zeros.
