@@ -259,95 +259,26 @@ BENCHMARK(BM_AdHocKHop);
 
 // ----------------------------------------------- dissemination path
 //
-// The sampler→server hot path of §7.2, priced end to end: encode the
-// serving-bound traffic, move it, apply it to the sample cache. Two
-// variants bracket the PR-2 batching work:
-//   PerMessage — the seed path: one ServingMessage encoded/decoded per
-//     delta, applied as a full Get→decode→mutate→re-encode→Put round
-//     trip in the KV store.
-//   Batched — ServingBatch frames: ~64 deltas coalesced per flush into
-//     one arena-encoded buffer, applied via KvStore::Merge as in-place
-//     binary patches (ServingCore::Apply).
-// items_per_second counts logical deltas, so the two are comparable.
+// The sampler→server hot path of §7.2, priced end to end: ~8 or ~64 deltas
+// coalesced per flush into one arena-encoded ServingBatch frame, decoded
+// by ServingBatchReader and applied via KvStore::Merge as in-place slot
+// writes (ServingCore::Apply). items_per_second counts logical deltas.
 
 namespace {
 constexpr std::uint64_t kDissCells = 256;  // small universe → real coalescing
-constexpr std::size_t kDissFanout = 25;
+constexpr std::uint32_t kDissFanout = 25;  // hop 1 of PaperQuery
 
 SampleDelta RandomDissDelta(util::Rng& rng, graph::Timestamp ts) {
   SampleDelta d;
   d.level = 1;
   d.vertex = gen::MakeVertexId(1, rng.Uniform(kDissCells));
   d.added = {gen::MakeVertexId(1, 10000 + rng.Uniform(1000)), ts, 1.0f};
-  if (rng.Uniform(2) == 0) {
-    d.evicted = gen::MakeVertexId(1, 10000 + rng.Uniform(1000));
-  }
+  d.slot = static_cast<std::uint16_t>(rng.Uniform(kDissFanout));
   d.event_ts = ts;
   d.origin_us = static_cast<std::int64_t>(ts);
   return d;
 }
-
-// Replica of the seed ServingCore delta apply (pre-KvStore::Merge): read
-// the whole cell, decode into an Edge vector, mutate, re-encode, write it
-// back.
-void SeedApplyDelta(kv::KvStore& store, const SampleDelta& d, std::size_t cap) {
-  std::string key(10, '\0');
-  key[0] = 's';
-  key[1] = static_cast<char>(d.level);
-  std::memcpy(key.data() + 2, &d.vertex, sizeof(d.vertex));
-
-  std::vector<graph::Edge> cell;
-  std::string value;
-  if (store.Get(key, value).ok()) {
-    graph::ByteReader r(value);
-    r.GetI64();  // event_ts
-    const std::uint32_t n = r.GetU32();
-    cell.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      graph::Edge e;
-      e.dst = r.GetU64();
-      e.ts = r.GetI64();
-      e.weight = r.GetF32();
-      cell.push_back(e);
-    }
-  }
-  if (d.evicted != graph::kInvalidVertex) {
-    for (auto it = cell.begin(); it != cell.end(); ++it) {
-      if (it->dst == d.evicted) {
-        cell.erase(it);
-        break;
-      }
-    }
-  }
-  cell.push_back(d.added);
-  if (cap > 0 && cell.size() > cap) cell.erase(cell.begin());
-
-  graph::ByteWriter w;
-  w.PutI64(d.event_ts);
-  w.PutU32(static_cast<std::uint32_t>(cell.size()));
-  for (const auto& e : cell) {
-    w.PutU64(e.dst);
-    w.PutI64(e.ts);
-    w.PutF32(e.weight);
-  }
-  store.Put(key, w.Take());
-}
 }  // namespace
-
-static void BM_DisseminationPerMessage(benchmark::State& state) {
-  kv::KvStore store({});
-  util::Rng rng(11);
-  graph::Timestamp ts = 0;
-  ServingMessage decoded;
-  for (auto _ : state) {
-    const auto msg = ServingMessage::Of(RandomDissDelta(rng, ++ts));
-    const std::string bytes = EncodeServingMessage(msg);
-    if (!DecodeServingMessage(bytes, decoded)) state.SkipWithError("decode failed");
-    SeedApplyDelta(store, decoded.delta(), kDissFanout);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DisseminationPerMessage);
 
 static void BM_DisseminationBatched(benchmark::State& state) {
   const auto spec = gen::MakeInter(400000);

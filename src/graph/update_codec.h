@@ -25,6 +25,7 @@ class ByteWriter {
   void PutU64(std::uint64_t v) { PutRaw(&v, sizeof(v)); }
   void PutI64(std::int64_t v) { PutRaw(&v, sizeof(v)); }
   void PutF32(float v) { PutRaw(&v, sizeof(v)); }
+  void PutF64(double v) { PutRaw(&v, sizeof(v)); }
   void PutBytes(const std::string& s) {
     PutU32(static_cast<std::uint32_t>(s.size()));
     buf_.append(s);
@@ -68,6 +69,7 @@ class ByteReader {
   std::uint64_t GetU64() { std::uint64_t v = 0; GetRaw(&v, sizeof(v)); return v; }
   std::int64_t GetI64() { std::int64_t v = 0; GetRaw(&v, sizeof(v)); return v; }
   float GetF32() { float v = 0; GetRaw(&v, sizeof(v)); return v; }
+  double GetF64() { double v = 0; GetRaw(&v, sizeof(v)); return v; }
   std::string GetBytes() {
     const std::uint32_t n = GetU32();
     if (!CheckAvail(n)) return {};

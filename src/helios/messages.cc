@@ -93,19 +93,19 @@ void EncodeServingMessageTo(graph::ByteWriter& w, const ServingMessage& m) {
       w.PutU64(u.vertex);
       w.PutI64(u.origin_us);
       w.PutU16(static_cast<std::uint16_t>(u.num_changes()));
-      auto put_change = [&w](const graph::Edge& added, graph::VertexId evicted,
+      auto put_change = [&w](const graph::Edge& added, std::uint16_t slot,
                              graph::Timestamp event_ts, std::uint64_t seq) {
         w.PutU64(added.dst);
         w.PutI64(added.ts);
         w.PutF32(added.weight);
-        w.PutU64(evicted);
+        w.PutU16(slot);
         w.PutI64(event_ts);
         w.PutU64(seq);
       };
       // The inline change carries the message seq; folded follow-ups keep
       // the seq of the emission they came from.
-      put_change(u.added, u.evicted, u.event_ts, m.seq);
-      for (const auto& c : u.more) put_change(c.added, c.evicted, c.event_ts, c.seq);
+      put_change(u.added, u.slot, u.event_ts, m.seq);
+      for (const auto& c : u.more) put_change(c.added, c.slot, c.event_ts, c.seq);
       break;
     }
   }
@@ -152,7 +152,7 @@ bool DecodeServingMessageFrom(graph::ByteReader& r, ServingMessage& out) {
       u.added.dst = r.GetU64();
       u.added.ts = r.GetI64();
       u.added.weight = r.GetF32();
-      u.evicted = r.GetU64();
+      u.slot = r.GetU16();
       u.event_ts = r.GetI64();
       out.seq = r.GetU64();
       u.more.reserve(changes - 1);
@@ -161,7 +161,7 @@ bool DecodeServingMessageFrom(graph::ByteReader& r, ServingMessage& out) {
         c.added.dst = r.GetU64();
         c.added.ts = r.GetI64();
         c.added.weight = r.GetF32();
-        c.evicted = r.GetU64();
+        c.slot = r.GetU16();
         c.event_ts = r.GetI64();
         c.seq = r.GetU64();
         if (!r.ok()) return false;
@@ -254,7 +254,7 @@ void ServingBatchBuilder::Add(ServingMessage msg) {
         // emission order, so the apply result is identical to the
         // per-message stream.
         SampleDelta& head = messages_[it->second].delta();
-        head.more.push_back({d.added, d.evicted, d.event_ts, msg.seq});
+        head.more.push_back({d.added, d.slot, d.event_ts, msg.seq});
         for (const auto& c : d.more) head.more.push_back(c);
         coalesced_ += d.num_changes();
         return;

@@ -53,11 +53,17 @@ struct FeatureUpdate {
   std::int64_t origin_us = 0;
 };
 
-// Incremental refresh of an already-cached cell: one sample in, at most
-// one sample out (~40B on the wire vs a full fan-out-sized cell). Full
-// SampleUpdate snapshots are sent only when a subscription starts; at the
-// sustained update rates of §7.2 the dissemination traffic would otherwise
-// exceed the 10 Gbps NICs.
+// Incremental refresh of an already-cached cell: the sample the reservoir
+// wrote and the slot it wrote it to (38B per change on the wire vs a full
+// fan-out-sized cell). Full SampleUpdate snapshots are sent only when a
+// subscription starts; at the sustained update rates of §7.2 the
+// dissemination traffic would otherwise exceed the 10 Gbps NICs.
+//
+// `slot` is ReservoirCell::Offer's OfferOutcome::slot: the index that was
+// overwritten, or the old size for an append. The serving side replays
+// that write and nothing else, so a cached cell stays a byte copy of its
+// reservoir under every strategy. Slots travel as u16; Decompose rejects
+// fan-outs above 65535.
 //
 // A delta carries one change inline (the steady-state case — no heap
 // allocation) plus optional follow-up changes in `more` when the batch
@@ -67,14 +73,14 @@ struct SampleDelta {
   std::uint32_t level = 0;
   graph::VertexId vertex = graph::kInvalidVertex;
   graph::Edge added;
-  graph::VertexId evicted = graph::kInvalidVertex;  // kInvalidVertex = none
+  std::uint16_t slot = 0;
   graph::Timestamp event_ts = 0;
   std::int64_t origin_us = 0;  // of the FIRST coalesced change (conservative
                                // for latency accounting)
 
   struct Change {
     graph::Edge added;
-    graph::VertexId evicted = graph::kInvalidVertex;
+    std::uint16_t slot = 0;
     graph::Timestamp event_ts = 0;
     // Emission seq of this change (ft::EpochFence); folded changes keep the
     // seq of the message they came from, so replay dedup still sees every

@@ -60,6 +60,11 @@ util::StatusOr<QueryPlan> Decompose(const SamplingQuery& query,
     if (hop.fanout == 0) {
       return util::Status::InvalidArgument("hop " + std::to_string(k + 1) + " has fan-out 0");
     }
+    // Cell deltas address reservoir slots as u16 on the wire (SampleDelta).
+    if (hop.fanout > 65535) {
+      return util::Status::InvalidArgument("hop " + std::to_string(k + 1) + " fan-out " +
+                                           std::to_string(hop.fanout) + " exceeds 65535");
+    }
     OneHopQuery q;
     q.hop = static_cast<std::uint32_t>(k + 1);
     q.edge_type = hop.edge_type;

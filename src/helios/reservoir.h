@@ -16,7 +16,6 @@
 //     large-C limit; each edge draws key u^(1/w) and the top-C keys stay.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -30,24 +29,27 @@ namespace helios {
 struct OfferOutcome {
   bool selected = false;                          // the new edge entered the cell
   graph::VertexId evicted = graph::kInvalidVertex;  // replaced sample, if any
+  // Index the new edge was written to when selected: the overwritten slot,
+  // or the old size when it was appended. Serving caches replay exactly
+  // this write (SampleDelta::slot), so they never re-derive an eviction.
+  std::uint32_t slot = 0;
 };
 
 // One value cell. Fixed capacity C; samples() exposes the current contents.
 class ReservoirCell {
  public:
   ReservoirCell(Strategy strategy, std::uint32_t capacity);
+  // Checkpoint restore: the cell exactly as it was serialized. `keys` are
+  // the A-Res keys parallel to `samples` (EdgeWeight only; empty
+  // otherwise).
+  ReservoirCell(Strategy strategy, std::uint32_t capacity, std::uint64_t offers_seen,
+                std::vector<graph::Edge> samples, std::vector<double> keys);
 
   OfferOutcome Offer(const graph::Edge& edge, util::Rng& rng);
 
   const std::vector<graph::Edge>& samples() const { return samples_; }
   std::uint64_t offers_seen() const { return seen_; }
-  // Checkpoint restore ONLY: overwrites the offer counter so the sampling
-  // distribution continues from the snapshot (Random accepts with C/seen).
-  // Clamped so the counter never undercounts the current contents. Never
-  // call on a live cell.
-  void RestoreOffersSeen(std::uint64_t seen) {
-    seen_ = std::max<std::uint64_t>(seen, samples_.size());
-  }
+  const std::vector<double>& keys() const { return keys_; }
   std::uint32_t capacity() const { return capacity_; }
   Strategy strategy() const { return strategy_; }
 
@@ -55,6 +57,9 @@ class ReservoirCell {
   OfferOutcome OfferRandom(const graph::Edge& edge, util::Rng& rng);
   OfferOutcome OfferTopK(const graph::Edge& edge);
   OfferOutcome OfferEdgeWeight(const graph::Edge& edge, util::Rng& rng);
+  // The two writes a selected offer makes; each reports its slot.
+  OfferOutcome Append(const graph::Edge& edge);
+  OfferOutcome Replace(std::size_t slot, const graph::Edge& edge);
 
   Strategy strategy_;
   std::uint32_t capacity_;

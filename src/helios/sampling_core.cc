@@ -88,7 +88,7 @@ void SamplingShardCore::OnEdgeUpdate(const graph::EdgeUpdate& e, std::int64_t or
     if (gen::VertexTypeOf(e.src) != q.target_type) continue;
 
     auto [it, created] = reservoir_[k].try_emplace(e.src, q.strategy, q.fanout);
-    if (created) m_.cells->Add(1);
+    if (created) PublishCellCount();
     ReservoirCell& cell = it->second;
     const OfferOutcome outcome = cell.Offer(edge, rng_);
     m_.edges_offered->Add(1);
@@ -107,7 +107,7 @@ void SamplingShardCore::OnEdgeUpdate(const graph::EdgeUpdate& e, std::int64_t or
       delta.level = level;
       delta.vertex = e.src;
       delta.added = edge;
-      delta.evicted = outcome.evicted;
+      delta.slot = static_cast<std::uint16_t>(outcome.slot);  // fan-out <= 65535 (Decompose)
       delta.event_ts = e.ts;
       delta.origin_us = origin_us;
       EmitToServing(sew, ServingMessage::Of(delta), out);
@@ -335,13 +335,19 @@ void SamplingShardCore::Prune(graph::Timestamp cutoff, Outputs& out) {
         // Keep empty cells only if subscribed (so future edges notify).
         if (cell_subs_[k].find(it->first) == cell_subs_[k].end()) {
           it = reservoir_[k].erase(it);
-          m_.cells->Add(-1);
+          PublishCellCount();
           continue;
         }
       }
       ++it;
     }
   }
+}
+
+void SamplingShardCore::PublishCellCount() {
+  std::size_t n = 0;
+  for (const auto& table : reservoir_) n += table.size();
+  m_.cells->Set(static_cast<std::int64_t>(n));
 }
 
 std::size_t SamplingShardCore::ApproximateBytes() const {
@@ -379,7 +385,8 @@ std::uint32_t SamplingShardCore::CellSubscribers(std::uint32_t level, graph::Ver
 
 namespace {
 // "HSC" + format version. v2 added the fault-tolerance block (epoch, seq
-// counters, applied offset, peer fence) and the RNG state.
+// counters, applied offset, peer fence) and the RNG state. Cells on
+// EdgeWeight hops carry their A-Res keys after their samples.
 constexpr std::uint32_t kCheckpointMagic = 0x48534332;  // "HSC2"
 }  // namespace
 
@@ -400,6 +407,9 @@ void SamplingShardCore::Serialize(graph::ByteWriter& w) const {
         w.PutI64(e.ts);
         w.PutF32(e.weight);
       }
+      // A-Res keys decide every later EdgeWeight eviction, so they are
+      // state, not derivable: one f64 per sample, on EdgeWeight hops only.
+      for (const double key : cell.keys()) w.PutF64(key);
     }
   }
   // Feature table.
@@ -450,9 +460,6 @@ void SamplingShardCore::Serialize(graph::ByteWriter& w) const {
     w.PutU32(s.epoch);
     w.PutU64(s.max_seq);
   }
-  // RNG state goes last: Deserialize rebuilds reservoir cells by re-offering
-  // (which consumes the core's RNG), so the stream position is restored
-  // only after that rebuild is done.
   for (std::uint64_t s : rng_.SaveState()) w.PutU64(s);
 }
 
@@ -463,30 +470,29 @@ bool SamplingShardCore::Deserialize(graph::ByteReader& r, SamplingShardCore& cor
   const std::uint32_t num_hops = r.GetU32();
   if (num_hops != core.reservoir_.size()) return false;  // plan mismatch
   for (std::uint32_t k = 0; k < num_hops; ++k) {
+    const OneHopQuery& q = core.plan_.one_hop[k];
     const std::uint32_t cells = r.GetU32();
     for (std::uint32_t c = 0; c < cells; ++c) {
       const graph::VertexId v = r.GetU64();
       const std::uint64_t seen = r.GetU64();
       const std::uint32_t n = r.GetU32();
-      ReservoirCell cell(core.plan_.one_hop[k].strategy, core.plan_.one_hop[k].fanout);
-      // Rebuild contents by offering in stored order; then overwrite the
-      // offer counter so the sampling distribution continues correctly.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        graph::Edge e;
+      if (!r.ok() || n > q.fanout) return false;
+      std::vector<graph::Edge> samples(n);
+      for (auto& e : samples) {
         e.dst = r.GetU64();
         e.ts = r.GetI64();
         e.weight = r.GetF32();
-        cell.Offer(e, core.rng_);
       }
-      // Offer() bumped the counter n times; restore the checkpointed value
-      // so Random's acceptance probability (C/seen) continues from where
-      // the snapshot left off instead of restarting at C/n.
-      cell.RestoreOffersSeen(seen);
+      std::vector<double> keys(q.strategy == Strategy::kEdgeWeight ? n : 0);
+      for (double& key : keys) key = r.GetF64();
       if (!r.ok()) return false;
-      core.reservoir_[k].emplace(v, std::move(cell));
-      core.m_.cells->Add(1);
+      // Verbatim: the same slots, keys and offer count, so the restored
+      // cell makes the same decisions the checkpointed one would have.
+      core.reservoir_[k].emplace(
+          v, ReservoirCell(q.strategy, q.fanout, seen, std::move(samples), std::move(keys)));
     }
   }
+  core.PublishCellCount();
   const std::uint32_t nf = r.GetU32();
   for (std::uint32_t i = 0; i < nf; ++i) {
     const graph::VertexId v = r.GetU64();
@@ -541,9 +547,8 @@ bool SamplingShardCore::Deserialize(graph::ByteReader& r, SamplingShardCore& cor
     fence.push_back(s);
   }
   core.ctrl_fence_.Restore(fence);
-  // RNG last (after the cell rebuild above consumed the fresh-seeded
-  // stream): the restored core now continues the checkpointed stream, so a
-  // log replay makes the same reservoir decisions as the original run.
+  // The restored core continues the checkpointed RNG stream, so a log
+  // replay makes the same reservoir decisions as the original run.
   std::array<std::uint64_t, 4> rng_state;
   for (auto& s : rng_state) s = r.GetU64();
   if (!r.ok()) return false;

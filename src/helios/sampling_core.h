@@ -157,6 +157,9 @@ class SamplingShardCore {
   // Single exit for serving-bound messages: stamps the per-destination
   // emission seq so replay dedup is independent of driver batching.
   void EmitToServing(std::uint32_t sew, ServingMessage msg, Outputs& out);
+  // Sets the sampling.cells gauge from the table sizes (never a running
+  // sum: a restored core resolves the gauge its dead incarnation left).
+  void PublishCellCount();
 
   QueryPlan plan_;
   ShardMap map_;

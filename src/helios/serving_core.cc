@@ -55,25 +55,18 @@ graph::Timestamp NewestRecordTs(std::string_view cell, std::uint32_t n) {
 }
 
 // In-place binary patch of one encoded cell value (§6 delta apply). The
-// fixed layout lets a delta splice the evicted record out and the added
-// record in without decoding the cell into an Edge vector and re-encoding
-// it.
-//
-// Eviction mirrors ReservoirCell::OfferTopK slot-for-slot: the reservoir
-// *overwrites* its first oldest-ts slot, so when the cell's first oldest-ts
-// record is the evicted vertex we overwrite that record in place. A cell
-// that tracked every delta then stays byte-identical to a fresh reservoir
-// snapshot at all times — which is what lets a crash-recovered run (late
-// re-subscription snapshots, docs/FAULT_TOLERANCE.md) converge to the same
-// cache bytes as an uninterrupted one. If the oldest slot does not match
-// (lost message, Random/EdgeWeight eviction order), fall back to
-// erase-first-match + append: eventually-consistent self-healing, as
-// before.
-void PatchCell(std::string& value, const graph::Edge& added, graph::VertexId evicted,
+// delta names the reservoir slot the sampler wrote (SampleDelta::slot), and
+// the fixed layout lets the patch replay exactly that write on the bytes:
+// record `slot` is overwritten when the cell holds it, otherwise the record
+// is appended while the cell is below the hop's fan-out `cap`. Applied in
+// emission order after the subscription snapshot, deltas keep the cached
+// cell a byte copy of its reservoir cell whatever the sampling strategy —
+// the serving side holds no eviction policy of its own. A duplicated write
+// lands on the slot it already filled and changes nothing.
+void PatchCell(std::string& value, const graph::Edge& added, std::uint32_t slot,
                std::size_t cap) {
   if (value.size() < kCellHeaderBytes) {
-    // Absent (or truncated) cell: start from an empty one — eventually
-    // consistent self-healing when the snapshot is still in flight.
+    // Absent (or truncated) cell: start from an empty one.
     value.assign(kCellHeaderBytes, '\0');
   }
   std::uint32_t n = 0;
@@ -84,56 +77,20 @@ void PatchCell(std::string& value, const graph::Edge& added, graph::VertexId evi
       n, static_cast<std::uint32_t>((value.size() - kCellHeaderBytes) / kCellRecordBytes));
   value.resize(kCellHeaderBytes + n * kCellRecordBytes);
 
-  if (evicted != graph::kInvalidVertex && n > 0) {
-    // The slot OfferTopK would have replaced: first record with the
-    // minimum ts.
-    std::uint32_t oldest = 0;
-    graph::Timestamp oldest_ts = 0;
-    std::memcpy(&oldest_ts, value.data() + kCellHeaderBytes + 8, sizeof(oldest_ts));
-    for (std::uint32_t i = 1; i < n; ++i) {
-      graph::Timestamp ts = 0;
-      std::memcpy(&ts, value.data() + kCellHeaderBytes + i * kCellRecordBytes + 8, sizeof(ts));
-      if (ts < oldest_ts) {
-        oldest = i;
-        oldest_ts = ts;
-      }
-    }
-    const std::size_t ooff = kCellHeaderBytes + oldest * kCellRecordBytes;
-    if (std::memcmp(value.data() + ooff, &evicted, sizeof(evicted)) == 0) {
-      std::memcpy(value.data() + ooff, &added.dst, 8);
-      std::memcpy(value.data() + ooff + 8, &added.ts, 8);
-      std::memcpy(value.data() + ooff + 16, &added.weight, 4);
-      const graph::Timestamp newest = NewestRecordTs(value, n);
-      std::memcpy(value.data(), &newest, sizeof(newest));
-      return;
-    }
-    // Out-of-sync fallback: erase the first record matching the evicted
-    // vertex, then append below.
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::size_t off = kCellHeaderBytes + i * kCellRecordBytes;
-      if (std::memcmp(value.data() + off, &evicted, sizeof(evicted)) == 0) {
-        value.erase(off, kCellRecordBytes);
-        --n;
-        break;
-      }
-    }
-  }
   char rec[kCellRecordBytes];
   std::memcpy(rec, &added.dst, 8);
   std::memcpy(rec + 8, &added.ts, 8);
   std::memcpy(rec + 16, &added.weight, 4);
-  value.append(rec, kCellRecordBytes);
-  ++n;
-  // Clamp to the hop's fan-out (lost-retract or duplicate defence): drop
-  // the oldest record, matching cell.erase(cell.begin()).
-  if (cap > 0 && n > cap) {
-    value.erase(kCellHeaderBytes, kCellRecordBytes);
-    --n;
+  if (slot < n) {
+    std::memcpy(value.data() + kCellHeaderBytes + slot * kCellRecordBytes, rec, kCellRecordBytes);
+  } else if (n < cap) {
+    value.append(rec, kCellRecordBytes);
+    ++n;
   }
   // Header timestamp = newest sample ts present: the same pure function of
   // content the snapshot path writes (SendSampleUpdate), so snapshot-built
   // and delta-patched cells are byte-identical no matter which write landed
-  // last. Crash-replay parity (docs/FAULT_TOLERANCE.md) depends on this.
+  // last.
   const graph::Timestamp newest = NewestRecordTs(value, n);
   std::memcpy(value.data(), &newest, sizeof(newest));
   std::memcpy(value.data() + 8, &n, sizeof(n));
@@ -605,18 +562,18 @@ void ServingCore::Apply(const ServingMessage& message) {
     }
     case ServingMessage::Kind::kSampleDelta: {
       const SampleDelta& u = message.delta();
-      // In-place binary patch of the cached cell under one KV lock — no
-      // Get/decode/encode/Put round-trip. A missing cell (snapshot still
-      // in flight) is created from the delta alone — eventually consistent
-      // self-healing. Coalesced changes splice in emission order.
+      // Each change replays one reservoir write (PatchCell) on the cached
+      // bytes under one KV lock — no Get/decode/encode/Put round-trip.
+      // Coalesced changes apply in emission order. A level outside the plan
+      // has no fan-out, so its deltas can only overwrite, never grow a cell.
       const std::size_t cap = (u.level >= 1 && u.level <= plan_.num_hops())
                                   ? plan_.one_hop[u.level - 1].fanout
                                   : 0;
       graph::Timestamp newest_ts = u.event_ts;
       store_->Merge(SampleKeyBuf(u.level, u.vertex).view(), [&](std::string& value) {
-        PatchCell(value, u.added, u.evicted, cap);
+        PatchCell(value, u.added, u.slot, cap);
         for (const auto& c : u.more) {
-          PatchCell(value, c.added, c.evicted, cap);
+          PatchCell(value, c.added, c.slot, cap);
           newest_ts = std::max(newest_ts, c.event_ts);
         }
       });

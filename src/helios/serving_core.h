@@ -392,6 +392,13 @@ class ServingCore {
       : ServingCore(std::move(plan), worker_id, Options{}) {}
 
   // ---- cache update path (data-updating threads, §4.3)
+  // Applies one sample-queue message: a SampleUpdate snapshot replaces the
+  // cell, a SampleDelta replays each of its reservoir writes on the cached
+  // bytes in order (overwrite the named slot, or append up to the hop's
+  // fan-out), a FeatureUpdate replaces the feature and a Retract deletes
+  // the cell or feature. Messages of one cell must arrive in emission order
+  // (one owning shard, one stream); then every cached cell is a byte copy
+  // of its reservoir cell.
   void Apply(const ServingMessage& message);
 
   // Source sampling shard of the frame currently being applied; only used
@@ -562,21 +569,21 @@ std::uint64_t FenceInto(ft::EpochFence& fence, std::uint64_t src,
     trimmed.origin_us = d.origin_us;
     bool have_head = false;
     std::uint64_t head_seq = 0;
-    auto add_change = [&](const graph::Edge& added, graph::VertexId evicted,
+    auto add_change = [&](const graph::Edge& added, std::uint16_t slot,
                           graph::Timestamp event_ts, std::uint64_t seq) {
       if (!have_head) {
         trimmed.added = added;
-        trimmed.evicted = evicted;
+        trimmed.slot = slot;
         trimmed.event_ts = event_ts;
         head_seq = seq;
         have_head = true;
       } else {
-        trimmed.more.push_back({added, evicted, event_ts, seq});
+        trimmed.more.push_back({added, slot, event_ts, seq});
       }
     };
-    if (inline_ok) add_change(d.added, d.evicted, d.event_ts, m.seq);
+    if (inline_ok) add_change(d.added, d.slot, d.event_ts, m.seq);
     for (const auto& c : d.more) {
-      if (c.seq == 0 || c.seq > token.watermark) add_change(c.added, c.evicted, c.event_ts, c.seq);
+      if (c.seq == 0 || c.seq > token.watermark) add_change(c.added, c.slot, c.event_ts, c.seq);
     }
     ServingMessage tm = ServingMessage::Of(std::move(trimmed));
     tm.seq = head_seq;

@@ -161,11 +161,11 @@ TEST(ServingMessageCodec, SampleDeltaRoundTripWithCoalescedChanges) {
   d.level = 3;
   d.vertex = 4242;
   d.added = {7, 70, 0.25f};
-  d.evicted = 9;
+  d.slot = 9;
   d.event_ts = 100;
   d.origin_us = 55;
-  d.more.push_back({{8, 80, 0.5f}, graph::kInvalidVertex, 101});
-  d.more.push_back({{9, 90, 0.75f}, 7, 102});
+  d.more.push_back({{8, 80, 0.5f}, 0, 101});
+  d.more.push_back({{9, 90, 0.75f}, 65535, 102});
   ServingMessage out;
   ASSERT_TRUE(DecodeServingMessage(EncodeServingMessage(ServingMessage::Of(d)), out));
   ASSERT_EQ(out.kind(), ServingMessage::Kind::kSampleDelta);
@@ -173,16 +173,22 @@ TEST(ServingMessageCodec, SampleDeltaRoundTripWithCoalescedChanges) {
   EXPECT_EQ(r.level, 3u);
   EXPECT_EQ(r.vertex, 4242u);
   EXPECT_EQ(r.added, (graph::Edge{7, 70, 0.25f}));
-  EXPECT_EQ(r.evicted, 9u);
+  EXPECT_EQ(r.slot, 9u);
   EXPECT_EQ(r.event_ts, 100);
   EXPECT_EQ(r.origin_us, 55);
   ASSERT_EQ(r.more.size(), 2u);
   EXPECT_EQ(r.more[0].added, (graph::Edge{8, 80, 0.5f}));
-  EXPECT_EQ(r.more[0].evicted, graph::kInvalidVertex);
+  EXPECT_EQ(r.more[0].slot, 0u);
   EXPECT_EQ(r.more[0].event_ts, 101);
   EXPECT_EQ(r.more[1].added, (graph::Edge{9, 90, 0.75f}));
-  EXPECT_EQ(r.more[1].evicted, 7u);
+  EXPECT_EQ(r.more[1].slot, 65535u);
   EXPECT_EQ(r.more[1].event_ts, 102);
+  // Each change is (dst, ts, weight, u16 slot, event_ts, seq) on the wire.
+  SampleDelta single = d;
+  single.more.clear();
+  EXPECT_EQ(EncodeServingMessage(ServingMessage::Of(d)).size() -
+                EncodeServingMessage(ServingMessage::Of(single)).size(),
+            2u * 38u);
 }
 
 // ------------------------------------------------------------ ServingBatch
@@ -223,7 +229,7 @@ ServingMessage RandomMessage(util::Rng& rng) {
       d.vertex = rng.Uniform(50);
       d.added = {rng.Next() % 1000, static_cast<graph::Timestamp>(rng.Uniform(100)),
                  static_cast<float>(rng.UniformDouble())};
-      d.evicted = rng.Bernoulli(0.5) ? rng.Next() % 1000 : graph::kInvalidVertex;
+      d.slot = static_cast<std::uint16_t>(rng.Uniform(1 << 16));
       d.event_ts = static_cast<graph::Timestamp>(rng.Uniform(1 << 20));
       d.origin_us = static_cast<std::int64_t>(rng.Uniform(1 << 20));
       return ServingMessage::Of(std::move(d));
@@ -275,7 +281,7 @@ TEST(ServingBatchCodec, CoalescesSameCellDeltas) {
   d.event_ts = 100;
   builder.Add(ServingMessage::Of(d));
   d.added = {2, 200, 2.f};
-  d.evicted = 1;
+  d.slot = 1;
   d.origin_us = 900;  // later change; head keeps the earliest origin
   d.event_ts = 200;
   builder.Add(ServingMessage::Of(d));
@@ -289,7 +295,7 @@ TEST(ServingBatchCodec, CoalescesSameCellDeltas) {
   EXPECT_EQ(head.origin_us, 500);
   ASSERT_EQ(head.more.size(), 1u);
   EXPECT_EQ(head.more[0].added, (graph::Edge{2, 200, 2.f}));
-  EXPECT_EQ(head.more[0].evicted, 1u);
+  EXPECT_EQ(head.more[0].slot, 1u);
   EXPECT_EQ(head.more[0].event_ts, 200);
 }
 

@@ -177,12 +177,25 @@ graph::GraphSchema Schema() {
   return schema;
 }
 
-QueryPlan Plan(std::uint32_t f1 = 2, std::uint32_t f2 = 2) {
+QueryPlan Plan(Strategy strategy = Strategy::kTopK) {
   SamplingQuery q;
   q.id = "it";
   q.seed_type = 0;
-  q.hops = {{0, f1, Strategy::kTopK}, {1, f2, Strategy::kTopK}};
+  q.hops = {{0, 2, strategy}, {1, 2, strategy}};
   return Decompose(q, Schema()).value();
+}
+
+// The cache-parity properties below hold for every sampling strategy:
+// serving caches replay the reservoir's own slot writes, so no strategy's
+// eviction policy is re-derived anywhere. Each parity test runs its body
+// once per strategy.
+constexpr Strategy kStrategies[] = {Strategy::kTopK, Strategy::kRandom, Strategy::kEdgeWeight};
+template <typename Body>
+void ForEachStrategy(Body body) {
+  for (const Strategy s : kStrategies) {
+    SCOPED_TRACE(StrategyName(s));
+    body(s);
+  }
 }
 
 gen::DatasetSpec SmallSpec() {
@@ -208,9 +221,9 @@ std::filesystem::path CheckpointDir(const std::string& name) {
 
 // Kill a node mid-stream, restart it from the checkpoint, and compare every
 // serving cache byte-for-byte against a cluster that never crashed.
-TEST(ThreadedRecovery, CrashRestoreReplayMatchesUninterruptedRun) {
+void CrashRestoreReplayMatchesUninterruptedRun(Strategy strategy) {
   const auto updates = SmallStream();
-  const auto plan = Plan();
+  const auto plan = Plan(strategy);
   ClusterOptions options;
   options.map = {2, 2, 2};
 
@@ -252,11 +265,15 @@ TEST(ThreadedRecovery, CrashRestoreReplayMatchesUninterruptedRun) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ThreadedRecovery, CrashRestoreReplayMatchesUninterruptedRun) {
+  ForEachStrategy(CrashRestoreReplayMatchesUninterruptedRun);
+}
+
 // Same property with no checkpoint ever taken: recovery replays the whole
 // broker log from offset zero.
-TEST(ThreadedRecovery, RestartWithoutCheckpointReplaysFromStart) {
+void RestartWithoutCheckpointReplaysFromStart(Strategy strategy) {
   const auto updates = SmallStream();
-  const auto plan = Plan();
+  const auto plan = Plan(strategy);
   ClusterOptions options;
   options.map = {2, 2, 2};
 
@@ -277,6 +294,29 @@ TEST(ThreadedRecovery, RestartWithoutCheckpointReplaysFromStart) {
   }
   cluster.Stop();
   golden.Stop();
+}
+
+TEST(ThreadedRecovery, RestartWithoutCheckpointReplaysFromStart) {
+  ForEachStrategy(RestartWithoutCheckpointReplaysFromStart);
+}
+
+// sampling.cells is set from the restored tables, not added on top of the
+// count the dead incarnation left in the same registry cell.
+TEST(ThreadedRecovery, RestartKeepsSamplingCellsGaugeTotal) {
+  const auto updates = SmallStream();
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+  ThreadedCluster cluster(Plan(), options);
+  cluster.Start();
+  for (const auto& u : updates) cluster.PublishUpdate(u);
+  cluster.WaitForIngestIdle();
+  const auto before = cluster.MetricsSnapshot().GaugeTotal("sampling.cells");
+  EXPECT_GT(before, 0);
+  ASSERT_TRUE(cluster.KillNode(0));
+  ASSERT_TRUE(cluster.RestartNode(0));
+  cluster.WaitForIngestIdle();
+  EXPECT_EQ(cluster.MetricsSnapshot().GaugeTotal("sampling.cells"), before);
+  cluster.Stop();
 }
 
 // Records published while a node is dead are first-time work: recovery
@@ -475,11 +515,11 @@ TEST(ThreadedRecovery, SupervisorAutoRecoversKilledNode) {
 // The virtual-time counterpart of the golden test: crash a sampling node
 // inside the emulator, recover from the entry snapshot + durable shard
 // logs, and require byte parity with a crash-free emulation (fig20).
-TEST(DesRecovery, CrashRecoveryMatchesCrashFreeRun) {
+void CrashRecoveryMatchesCrashFreeRun(Strategy strategy) {
   gen::DatasetSpec spec = SmallSpec();
   gen::UpdateStream stream(spec);
   const auto updates = stream.Drain();
-  const auto plan = Plan();
+  const auto plan = Plan(strategy);
 
   bench::HeliosEmuConfig hc;
   hc.sampling_nodes = 2;
@@ -526,6 +566,10 @@ TEST(DesRecovery, CrashRecoveryMatchesCrashFreeRun) {
   EXPECT_EQ(report.diss_messages, applied);
 }
 
+TEST(DesRecovery, CrashRecoveryMatchesCrashFreeRun) {
+  ForEachStrategy(CrashRecoveryMatchesCrashFreeRun);
+}
+
 // ------------------------------------------------------ both runtimes
 
 // One stream through both runtimes, whose recoveries run through the one
@@ -533,9 +577,9 @@ TEST(DesRecovery, CrashRecoveryMatchesCrashFreeRun) {
 // deployment of the same layout (2 sampling nodes x 2 shards, 2 serving
 // workers) serve byte-identical caches crash-free, after a threaded
 // kill/restart, and after a supervised DES recovery.
-TEST(CrossRuntime, CachesMatchCrashFreeAndAfterEitherRuntimesRecovery) {
+void CachesMatchCrashFreeAndAfterEitherRuntimesRecovery(Strategy strategy) {
   const auto updates = SmallStream();
-  const auto plan = Plan();
+  const auto plan = Plan(strategy);
   ClusterOptions options;
   options.map = {2, 2, 2};
   bench::HeliosEmuConfig hc;
@@ -590,16 +634,45 @@ TEST(CrossRuntime, CachesMatchCrashFreeAndAfterEitherRuntimesRecovery) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CrossRuntime, CachesMatchCrashFreeAndAfterEitherRuntimesRecovery) {
+  ForEachStrategy(CachesMatchCrashFreeAndAfterEitherRuntimesRecovery);
+}
+
+// The emulator is reproducible under Random sampling: two saturated
+// emulations and the untimed IngestAll path of one stream build the same
+// serving caches byte-for-byte, although their message interleavings
+// differ (the reservoirs draw identically, and every cached cell is a slot
+// copy of its reservoir).
+TEST(DesRecovery, EmulationsAndIngestAllBuildIdenticalRandomCaches) {
+  const auto updates = SmallStream();
+  const auto plan = Plan(Strategy::kRandom);
+  bench::HeliosEmuConfig hc;
+  hc.sampling_nodes = 2;
+  hc.sampling_threads = 2;
+  hc.serving_nodes = 2;
+  hc.serving_threads = 2;
+  bench::HeliosDeployment first(plan, hc), second(plan, hc), untimed(plan, hc);
+  first.EmulateIngestion(updates, 0);
+  second.EmulateIngestion(updates, 0);
+  untimed.IngestAll(updates);
+  for (std::uint32_t w = 0; w < hc.serving_nodes; ++w) {
+    const auto want = first.serving_core(w).DumpCache();
+    EXPECT_GT(want.size(), 0u);
+    EXPECT_EQ(want, second.serving_core(w).DumpCache()) << "second emulation, worker " << w;
+    EXPECT_EQ(want, untimed.serving_core(w).DumpCache()) << "IngestAll, worker " << w;
+  }
+}
 
 // Foundational property behind the golden-parity tests above: two
 // independent crash-free runs of the threaded runtime converge to
 // byte-identical serving caches, even though thread interleavings make the
 // emitted message streams differ (subscription windows open and close at
 // racy times). Cell existence is a function of subscription refcounts, and
-// refcount conservation is interleaving-invariant.
-TEST(ThreadedRecovery, CrashFreeRunsConvergeToIdenticalCaches) {
+// refcount conservation is interleaving-invariant; cell contents are the
+// owning reservoir's, slot for slot.
+void CrashFreeRunsConvergeToIdenticalCaches(Strategy strategy) {
   const auto updates = SmallStream();
-  const auto plan = Plan();
+  const auto plan = Plan(strategy);
   ClusterOptions options;
   options.map = {2, 2, 2};
   ThreadedCluster a(plan, options), b(plan, options);
@@ -623,6 +696,10 @@ TEST(ThreadedRecovery, CrashFreeRunsConvergeToIdenticalCaches) {
   }
   a.Stop();
   b.Stop();
+}
+
+TEST(ThreadedRecovery, CrashFreeRunsConvergeToIdenticalCaches) {
+  ForEachStrategy(CrashFreeRunsConvergeToIdenticalCaches);
 }
 
 }  // namespace

@@ -347,6 +347,7 @@ void ApplyRandomChurn(ServingCore& core, util::Rng& rng, bool features = true) {
       d.level = 2;
       d.vertex = item();
       d.added = {item(), 2, 1.0f};
+      d.slot = static_cast<std::uint16_t>(rng.Uniform(3));  // overwrite or append
       d.event_ts = 2;
       core.Apply(ServingMessage::Of(std::move(d)));
       break;

@@ -18,12 +18,14 @@
 //                     (parent cell, worker) references.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
 #include <set>
 
 #include "gen/datasets.h"
+#include "graph/update_codec.h"
 #include "helios/sampling_core.h"
 #include "helios/serving_core.h"
 #include "util/rng.h"
@@ -202,6 +204,35 @@ TEST_P(ProtocolSweep, CacheMatchesGroundTruthAtQuiescence) {
     EXPECT_EQ(result.missing_features, 0u) << "seed " << u;
   }
   EXPECT_GT(seeds_with_samples, p.users / 2);
+
+  // ---- I2 byte-for-byte: every cached cell is the owner's reservoir cell,
+  // same records in the same slots, under the cell layout
+  // [i64 newest ts][u32 n][n × (u64 dst | i64 ts | f32 weight)].
+  std::uint64_t cells_checked = 0;
+  for (std::uint32_t n = 0; n < map.serving_workers; ++n) {
+    for (const auto& [key, value] : mesh.Serving(n).DumpCache()) {
+      if (key.empty() || key[0] != 's') continue;
+      const std::uint32_t level = static_cast<std::uint8_t>(key[1]);
+      graph::VertexId v = 0;
+      std::memcpy(&v, key.data() + 2, sizeof(v));
+      const ReservoirCell* cell = mesh.OwnerOf(v).CellOf(level, v);
+      ASSERT_NE(cell, nullptr) << "worker " << n << " caches level " << level << " of " << v;
+      graph::ByteWriter want;
+      graph::Timestamp newest = 0;
+      for (const auto& e : cell->samples()) newest = std::max(newest, e.ts);
+      want.PutI64(newest);
+      want.PutU32(static_cast<std::uint32_t>(cell->samples().size()));
+      for (const auto& e : cell->samples()) {
+        want.PutU64(e.dst);
+        want.PutI64(e.ts);
+        want.PutF32(e.weight);
+      }
+      EXPECT_EQ(value, want.buffer())
+          << "worker " << n << " level " << level << " vertex " << v;
+      ++cells_checked;
+    }
+  }
+  EXPECT_GT(cells_checked, p.users / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

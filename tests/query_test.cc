@@ -91,6 +91,11 @@ TEST(Decompose, RejectsNonComposingHops) {
   // Zero fan-out.
   q.hops = {{0, 0, Strategy::kRandom}};
   EXPECT_FALSE(Decompose(q, schema).ok());
+  // Fan-out past the u16 slot index cell deltas carry; 65535 still fits.
+  q.hops = {{0, 65536, Strategy::kRandom}};
+  EXPECT_FALSE(Decompose(q, schema).ok());
+  q.hops = {{0, 65535, Strategy::kRandom}};
+  EXPECT_TRUE(Decompose(q, schema).ok());
   // No hops.
   q.hops = {};
   EXPECT_FALSE(Decompose(q, schema).ok());

@@ -171,30 +171,32 @@ INSTANTIATE_TEST_SUITE_P(
                                          Strategy::kEdgeWeight),
                        ::testing::Values(1u, 2u, 5u, 10u, 25u)));
 
-// Parameterized: eviction accounting is exact — selected offers with a full
-// cell always evict exactly one existing member.
+// Parameterized: eviction accounting is exact — a selected offer writes
+// the slot it reports (an append reports the old size), and an overwrite
+// evicts exactly the member that slot held. Replaying the reported writes
+// on a mirror reproduces the cell slot for slot, which is what serving
+// caches do with SampleDelta::slot.
 class EvictionSweep : public ::testing::TestWithParam<Strategy> {};
 
 TEST_P(EvictionSweep, EvictionInvariants) {
   util::Rng rng(23);
   ReservoirCell cell(GetParam(), 4);
-  std::multiset<graph::VertexId> members;
+  std::vector<graph::Edge> mirror;
   for (int i = 0; i < 300; ++i) {
     const graph::VertexId v = 1000 + i;
-    const auto outcome =
-        cell.Offer(E(v, i, static_cast<float>(rng.UniformDouble()) + 0.01f), rng);
+    const graph::Edge e = E(v, i, static_cast<float>(rng.UniformDouble()) + 0.01f);
+    const auto outcome = cell.Offer(e, rng);
     if (outcome.selected) {
-      if (outcome.evicted != graph::kInvalidVertex) {
-        auto it = members.find(outcome.evicted);
-        ASSERT_NE(it, members.end());
-        members.erase(it);
+      if (outcome.slot < mirror.size()) {
+        ASSERT_EQ(outcome.evicted, mirror[outcome.slot].dst);
+        mirror[outcome.slot] = e;
+      } else {
+        ASSERT_EQ(outcome.slot, mirror.size());
+        ASSERT_EQ(outcome.evicted, graph::kInvalidVertex);
+        mirror.push_back(e);
       }
-      members.insert(v);
     }
-    // Cross-check membership against cell contents.
-    std::multiset<graph::VertexId> actual;
-    for (const auto& e : cell.samples()) actual.insert(e.dst);
-    ASSERT_EQ(actual, members);
+    ASSERT_EQ(cell.samples(), mirror);
   }
 }
 

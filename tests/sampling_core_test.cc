@@ -489,12 +489,13 @@ TEST(SamplingCore, CheckpointRestoresOfferCounter) {
 // SAME random accept/evict decisions and emits byte-identical serving
 // traffic. Without the RNG state the re-emissions would diverge from what
 // the serving side already applied and epoch/seq fencing could not
-// de-duplicate them.
-TEST(SamplingCore, CheckpointedRngStateMakesReplayDeterministic) {
+// de-duplicate them. EdgeWeight cells additionally restore their A-Res
+// keys verbatim: re-drawn keys would decide later evictions differently.
+void ExpectReplayDeterministic(Strategy strategy) {
   ShardMap map{1, 1, 1};
   SamplingQuery q;
   q.seed_type = 0;
-  q.hops = {{0, 2, Strategy::kRandom}, {1, 2, Strategy::kRandom}};
+  q.hops = {{0, 2, strategy}, {1, 2, strategy}};
   const auto plan = Decompose(q, TwoHopSchema()).value();
   const auto user = MakeVertexId(0, 1);
 
@@ -527,6 +528,10 @@ TEST(SamplingCore, CheckpointedRngStateMakesReplayDeterministic) {
   SamplingShardCore restored(plan, map, 0, /*seed=*/999, {});
   graph::ByteReader r(checkpoint);
   ASSERT_TRUE(SamplingShardCore::Deserialize(r, restored));
+  ASSERT_NE(restored.CellOf(1, user), nullptr);
+  EXPECT_EQ(restored.CellOf(1, user)->samples(), original.CellOf(1, user)->samples());
+  EXPECT_EQ(restored.CellOf(1, user)->keys(), original.CellOf(1, user)->keys());
+  EXPECT_EQ(restored.CellOf(1, user)->keys().empty(), strategy != Strategy::kEdgeWeight);
 
   // Feed both cores the identical log tail and byte-compare everything
   // they emit toward serving.
@@ -559,8 +564,14 @@ TEST(SamplingCore, CheckpointedRngStateMakesReplayDeterministic) {
   EXPECT_EQ(original_tail, restored_tail);
 
   // And the reservoirs themselves converged identically.
-  ASSERT_NE(restored.CellOf(1, user), nullptr);
   EXPECT_EQ(restored.CellOf(1, user)->samples(), original.CellOf(1, user)->samples());
+}
+
+TEST(SamplingCore, CheckpointedRngStateMakesReplayDeterministic) {
+  for (const Strategy s : {Strategy::kRandom, Strategy::kEdgeWeight}) {
+    SCOPED_TRACE(StrategyName(s));
+    ExpectReplayDeterministic(s);
+  }
 }
 
 TEST(SamplingCore, CheckpointRejectsCorruptBytes) {

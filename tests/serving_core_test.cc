@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -221,12 +222,12 @@ TEST(ServingCore, HybridModeSpillsToDiskAndStillServes) {
 }
 
 SampleDelta Delta(std::uint32_t level, graph::VertexId v, graph::VertexId added,
-                  graph::Timestamp ts, graph::VertexId evicted = graph::kInvalidVertex) {
+                  graph::Timestamp ts, std::uint16_t slot) {
   SampleDelta d;
   d.level = level;
   d.vertex = v;
   d.added = {added, ts, 1.0f};
-  d.evicted = evicted;
+  d.slot = slot;
   d.event_ts = ts;
   return d;
 }
@@ -258,81 +259,86 @@ TEST(ServingCore, SampleKeyKeepsManyLevelsDistinct) {
   EXPECT_EQ(sample_keys, 29u);
 }
 
-// The in-place binary patch must behave exactly like the reference
-// decode→mutate→encode semantics, which mirror ReservoirCell::OfferTopK:
-// when the evicted vertex sits in the cell's first oldest-ts slot (the
-// slot the sampler replaced), overwrite that slot in place; otherwise
-// splice out the evicted record and append the new one, trimming the
-// oldest when over the plan fan-out.
+// The in-place patch replays exactly the reservoir write a delta names:
+// record `slot` is overwritten when the cell holds it, otherwise the record
+// is appended while the cell is below the hop's fan-out. After every step
+// the cached bytes must equal what a snapshot of the model cell writes.
 TEST(ServingCore, DeltaPatchMatchesReferenceModel) {
   const auto plan = Plan(/*f1=*/3, /*f2=*/2);
   ServingCore core(plan, 0);
   const auto user = MakeVertexId(0, 1);
+  const auto other = MakeVertexId(0, 2);
   auto item = [](std::uint64_t i) { return MakeVertexId(1, i); };
 
-  // Reference model of the level-1 cell (capacity 3): (vertex, ts) slots.
-  std::vector<std::pair<graph::VertexId, graph::Timestamp>> model;
-  auto model_apply = [&](graph::VertexId added, graph::Timestamp ts, graph::VertexId evicted) {
-    if (evicted != graph::kInvalidVertex && !model.empty()) {
-      std::size_t oldest = 0;
-      for (std::size_t i = 1; i < model.size(); ++i) {
-        if (model[i].second < model[oldest].second) oldest = i;
-      }
-      if (model[oldest].first == evicted) {
-        model[oldest] = {added, ts};  // reservoir-style in-place replace
-        return;
-      }
-      auto it = std::find_if(model.begin(), model.end(),
-                             [&](const auto& s) { return s.first == evicted; });
-      if (it != model.end()) model.erase(it);
+  // Reference model of the level-1 cells (fan-out 3), keyed by vertex.
+  std::map<graph::VertexId, std::vector<graph::Edge>> model;
+  auto model_apply = [&](graph::VertexId v, const graph::Edge& e, std::size_t slot) {
+    auto& cell = model[v];
+    if (slot < cell.size()) {
+      cell[slot] = e;
+    } else if (cell.size() < 3) {
+      cell.push_back(e);
     }
-    model.push_back({added, ts});
-    if (model.size() > 3) model.erase(model.begin());
+  };
+  auto apply = [&](SampleDelta d) {
+    model_apply(d.vertex, d.added, d.slot);
+    for (const auto& c : d.more) model_apply(d.vertex, c.added, c.slot);
+    core.Apply(ServingMessage::Of(std::move(d)));
+  };
+  // The model cell's bytes, as the snapshot path encodes them.
+  auto snapshot_bytes = [&](graph::VertexId v) {
+    SampleUpdate su;
+    su.level = 1;
+    su.vertex = v;
+    su.samples = model[v];
+    for (const auto& e : su.samples) su.event_ts = std::max(su.event_ts, e.ts);
+    ServingCore ref(plan, 0);
+    ref.Apply(ServingMessage::Of(std::move(su)));
+    return ref.DumpCache();
+  };
+  auto expect_matches_model = [&](const char* step) {
+    std::map<std::string, std::string> want;
+    for (const auto& [v, cell] : model) want.merge(snapshot_bytes(v));
+    EXPECT_EQ(core.DumpCache(), want) << step;
   };
 
-  core.Apply(ServingMessage::Of(Cell(1, user, {item(1), item(2)}, /*ts=*/10)));
-  model = {{item(1), 10}, {item(2), 10}};
+  SampleUpdate snapshot = Cell(1, user, {item(1), item(2)}, /*ts=*/10);
+  model[user] = snapshot.samples;
+  core.Apply(ServingMessage::Of(std::move(snapshot)));
+  expect_matches_model("snapshot");
 
-  core.Apply(ServingMessage::Of(Delta(1, user, item(3), 11)));
-  model_apply(item(3), 11, graph::kInvalidVertex);
-  // Evicting a vertex that is NOT the oldest slot: splice + append.
-  core.Apply(ServingMessage::Of(Delta(1, user, item(4), 12, /*evicted=*/item(2))));
-  model_apply(item(4), 12, item(2));
-  // No explicit eviction but the cell is full: the oldest record drops.
-  core.Apply(ServingMessage::Of(Delta(1, user, item(5), 13)));
-  model_apply(item(5), 13, graph::kInvalidVertex);
-  // Eviction of a vertex that is not present: pure append (still at cap).
-  core.Apply(ServingMessage::Of(Delta(1, user, item(6), 14, /*evicted=*/item(99))));
-  model_apply(item(6), 14, item(99));
+  apply(Delta(1, user, item(3), 11, /*slot=*/2));
+  expect_matches_model("append up to the fan-out");
+  apply(Delta(1, user, item(4), 12, /*slot=*/0));
+  expect_matches_model("overwrite the named slot");
+  apply(Delta(1, user, item(5), 13, /*slot=*/3));
+  expect_matches_model("append past the fan-out is dropped");
+  ASSERT_EQ(model[user].size(), 3u);
 
-  const auto result = ServeFresh(core, user);
-  ASSERT_EQ(result.layers[1].size(), model.size());
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    EXPECT_EQ(result.layers[1][i].vertex, model[i].first) << i;
-  }
-  EXPECT_EQ(core.metrics().TakeSnapshot().GaugeTotal("serving.latest_event_ts"), 14);
+  // Duplicates (a replayed write) land on the slot they already filled.
+  const auto before = core.DumpCache();
+  apply(Delta(1, user, item(4), 12, /*slot=*/0));
+  apply(Delta(1, user, item(3), 11, /*slot=*/2));
+  EXPECT_EQ(core.DumpCache(), before) << "duplicated overwrite and append";
+  expect_matches_model("duplicates");
 
-  // A delta for a cell never snapshotted materializes it from empty.
-  const auto other = MakeVertexId(0, 2);
-  core.Apply(ServingMessage::Of(Delta(1, other, item(42), 20)));
-  EXPECT_TRUE(core.HasCell(1, other));
-  const auto r2 = ServeFresh(core, other);
-  ASSERT_EQ(r2.layers[1].size(), 1u);
-  EXPECT_EQ(r2.layers[1][0].vertex, item(42));
+  // A delta for a cell never snapshotted materializes it from empty, and a
+  // duplicate of that append leaves it as it was.
+  apply(Delta(1, other, item(42), 20, /*slot=*/0));
+  expect_matches_model("absent cell");
+  const auto with_other = core.DumpCache();
+  apply(Delta(1, other, item(42), 20, /*slot=*/0));
+  EXPECT_EQ(core.DumpCache(), with_other) << "duplicated append to a fresh cell";
 
-  // A coalesced multi-change delta applies its folded changes in order;
-  // these evict the oldest slot, so they replace in place like the
-  // reservoir did.
-  auto multi = Delta(1, user, item(7), 15, /*evicted=*/item(4));
-  multi.more.push_back({{item(8), 16, 1.0f}, item(5), 16});
-  core.Apply(ServingMessage::Of(std::move(multi)));
-  model_apply(item(7), 15, item(4));
-  model_apply(item(8), 16, item(5));
-  const auto r3 = ServeFresh(core, user);
-  ASSERT_EQ(r3.layers[1].size(), model.size());
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    EXPECT_EQ(r3.layers[1][i].vertex, model[i].first) << i;
-  }
+  // A coalesced multi-change delta applies its folded changes in order,
+  // including two writes to one slot (the later one wins).
+  auto multi = Delta(1, user, item(7), 15, /*slot=*/1);
+  multi.more.push_back({{item(8), 16, 0.5f}, 2, 16});
+  multi.more.push_back({{item(9), 17, 0.25f}, 1, 17});
+  apply(std::move(multi));
+  expect_matches_model("coalesced changes");
+  EXPECT_EQ(model[user][1].dst, item(9));
+  EXPECT_EQ(core.metrics().TakeSnapshot().GaugeTotal("serving.latest_event_ts"), 20);
 }
 
 // Parameterized sweep over fan-outs: layer sizes track the plan.
