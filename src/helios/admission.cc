@@ -16,10 +16,12 @@ AdmissionQueue::Stats& AdmissionQueue::Stats::operator+=(const Stats& o) {
 }
 
 AdmissionQueue::AdmissionQueue(Options options, obs::MetricsRegistry* registry,
-                               obs::TelemetryHub* telemetry, std::uint32_t worker)
+                               obs::TelemetryHub* telemetry, std::uint32_t worker,
+                               util::EventCount* signal)
     : options_(options),
       telemetry_(telemetry),
       worker_(worker),
+      signal_(signal),
       hot_seeds_(kHotSeedSlots, graph::kInvalidVertex) {
   static_assert((kHotSeedSlots & (kHotSeedSlots - 1)) == 0);
   if (registry != nullptr) {
@@ -38,12 +40,16 @@ AdmissionQueue::AdmissionQueue(Options options, obs::MetricsRegistry* registry,
 
 std::vector<std::unique_ptr<AdmissionQueue>> AdmissionQueue::ForWorkers(
     std::uint32_t workers, const Options& options, obs::MetricsRegistry* registry,
-    obs::TelemetryHub* telemetry) {
+    obs::TelemetryHub* telemetry, util::EventCount* signal) {
   std::vector<std::unique_ptr<AdmissionQueue>> queues;
   for (std::uint32_t w = 0; w < workers; ++w) {
-    queues.push_back(std::make_unique<AdmissionQueue>(options, registry, telemetry, w));
+    queues.push_back(std::make_unique<AdmissionQueue>(options, registry, telemetry, w, signal));
   }
   return queues;
+}
+
+void AdmissionQueue::Signal() const {
+  if (signal_ != nullptr) signal_->Notify();
 }
 
 AdmissionQueue::Outcome AdmissionQueue::Offer(QueryTicket t, std::int64_t now) {
@@ -78,6 +84,7 @@ AdmissionQueue::Outcome AdmissionQueue::Offer(QueryTicket t, std::int64_t now) {
     m_.slack_us->Record(static_cast<std::uint64_t>(slack));
   }
   if (m_.queue_depth != nullptr) m_.queue_depth->Set(static_cast<std::int64_t>(DepthLocked()));
+  Signal();
   return Outcome::kAdmitted;
 }
 
@@ -103,6 +110,7 @@ bool AdmissionQueue::Pop(std::int64_t now, bool shed_expired, QueryTicket& ticke
       stats_.shed_deadline++;
       if (m_.shed_deadline != nullptr) m_.shed_deadline->Add(1);
       if (m_.shed_cache != nullptr) m_.shed_cache->Add(1);
+      Signal();
       continue;
     }
     ticket = t;
@@ -139,6 +147,7 @@ void AdmissionQueue::Complete(const QueryTicket& ticket, std::int64_t now, std::
   latency_us_.Record(static_cast<std::uint64_t>(latency));
   stats_.completed++;
   if (in_deadline) stats_.completed_in_deadline++;
+  Signal();
 }
 
 bool AdmissionQueue::Idle() const {

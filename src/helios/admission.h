@@ -39,6 +39,7 @@
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "util/event_count.h"
 #include "util/hash.h"
 #include "util/histogram.h"
 
@@ -72,14 +73,18 @@ class AdmissionQueue {
   // to `registry` under {worker=<worker>}; `telemetry` scores each
   // completed ticket in lane `worker`, and its Overloaded() is the
   // overload probe. Either may be null (no metrics / never overloaded).
+  // `signal`, when set, is notified whenever the queue gains a ticket or
+  // its books move (admission, a shed at pop, a completion): what a pump
+  // or an idle waiter blocks on.
   explicit AdmissionQueue(Options options, obs::MetricsRegistry* registry = nullptr,
-                          obs::TelemetryHub* telemetry = nullptr, std::uint32_t worker = 0);
+                          obs::TelemetryHub* telemetry = nullptr, std::uint32_t worker = 0,
+                          util::EventCount* signal = nullptr);
 
   // The front door of a serving tier: one queue per worker 0..workers-1,
-  // as both runtimes build it.
+  // as both runtimes build it, all notifying `signal` (may be null).
   static std::vector<std::unique_ptr<AdmissionQueue>> ForWorkers(
       std::uint32_t workers, const Options& options, obs::MetricsRegistry* registry,
-      obs::TelemetryHub* telemetry);
+      obs::TelemetryHub* telemetry, util::EventCount* signal = nullptr);
 
   // Offers one query; on admission stamps t.id and enqueues.
   Outcome Offer(QueryTicket t, std::int64_t now);
@@ -153,9 +158,13 @@ class AdmissionQueue {
   std::size_t DepthLocked() const { return hit_q_.size() + miss_q_.size(); }
   bool Pop(std::int64_t now, bool shed_expired, QueryTicket& ticket);
 
+  // Notifies signal_, if set.
+  void Signal() const;
+
   Options options_;
   obs::TelemetryHub* telemetry_;
   std::uint32_t worker_;
+  util::EventCount* signal_;
   mutable std::mutex mu_;
   Heap hit_q_;
   Heap miss_q_;

@@ -44,6 +44,7 @@ util::Status ShardStep::Install(const std::string* checkpoint, std::uint64_t rep
   }
   replaying_ = true;
   deferred_prune_.reset();  // was meant for the state this replaces
+  deferred_resubscribe_ = false;
   next_bump_ = 0;
   replay_target_ = replay_end;
   // Never at or below the installed epoch: the peers' control fences hold it
@@ -92,6 +93,7 @@ void ShardStep::Consume(std::span<const mq::Record> records, Sink& sink) {
         // seqs restart under the new one.
         Flush(sink);
         FinishReplay();
+        if (std::exchange(deferred_resubscribe_, false)) Resubscribe(sink);
         if (deferred_prune_) Prune(*std::exchange(deferred_prune_, std::nullopt), sink);
       }
     }
@@ -144,6 +146,15 @@ void ShardStep::Prune(graph::Timestamp cutoff, Sink& sink) {
   }
   core_->Prune(cutoff, out_);
   // No replay re-derives a TTL pass (it is not in the log): always counted.
+  Flush(sink, /*from_log=*/false);
+}
+
+void ShardStep::Resubscribe(Sink& sink) {
+  if (replaying_) {
+    deferred_resubscribe_ = true;
+    return;
+  }
+  core_->ResendSubscribed(out_);
   Flush(sink, /*from_log=*/false);
 }
 

@@ -113,6 +113,12 @@ class ShardStep {
   // re-derives them. A replaying shard runs it when the replay ends.
   void Prune(graph::Timestamp cutoff, Sink& sink);
 
+  // Re-sends every subscribed cell and feature to its subscribers
+  // (SamplingShardCore::ResendSubscribed), for serving caches that start
+  // empty under restored state. Counted like Prune, and likewise deferred
+  // to the end of a replay.
+  void Resubscribe(Sink& sink);
+
  private:
   void ConsumeOne(const mq::Record& r);
   // `from_log` outputs count only at or above the counted-through offset.
@@ -145,6 +151,7 @@ class ShardStep {
   std::int64_t replay_started_us_ = 0;
   std::uint64_t replayed_ = 0;
   std::optional<graph::Timestamp> deferred_prune_;  // TTL cutoff awaiting the replay's end
+  bool deferred_resubscribe_ = false;               // Resubscribe awaiting the replay's end
 
   struct Metrics {
     obs::Counter* batches;

@@ -291,6 +291,25 @@ void SamplingShardCore::SendFeatureUpdate(graph::VertexId v, std::int64_t origin
   m_.feature_updates_sent->Add(1);
 }
 
+void SamplingShardCore::ResendSubscribed(Outputs& out) {
+  for (const auto& [v, counts] : feature_subs_) {
+    for (const auto& [sew, refcount] : counts) {
+      (void)refcount;
+      SendFeatureUpdate(v, 0, sew, out);
+    }
+  }
+  for (std::size_t k = 0; k < cell_subs_.size(); ++k) {
+    for (const auto& [v, counts] : cell_subs_[k]) {
+      const auto cell = reservoir_[k].find(v);
+      if (cell == reservoir_[k].end()) continue;
+      for (const auto& [sew, refcount] : counts) {
+        (void)refcount;
+        SendSampleUpdate(static_cast<std::uint32_t>(k + 1), v, cell->second, 0, sew, out);
+      }
+    }
+  }
+}
+
 void SamplingShardCore::Prune(graph::Timestamp cutoff, Outputs& out) {
   std::vector<graph::VertexId> dropped;  // reused across cells
   for (std::size_t k = 0; k < reservoir_.size(); ++k) {

@@ -99,6 +99,11 @@ class SamplingShardCore {
   // cells / cascaded unsubscribes for anything that changed.
   void Prune(graph::Timestamp cutoff, Outputs& out);
 
+  // Sends every subscriber the snapshot of each cell and feature it is
+  // subscribed to: the messages a first subscription sends, without its
+  // cascade (the children's subscriptions already exist). Unstamped.
+  void ResendSubscribed(Outputs& out);
+
   // The registry this core records into (the shared one, or the private
   // fallback when Options.registry was null): its "sampling.*" cells are
   // the core's counters.

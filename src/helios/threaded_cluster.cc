@@ -20,6 +20,22 @@ constexpr const char* kUpdatesTopic = "updates";
 constexpr const char* kSamplesTopic = "samples";
 // Records per consumer poll, for both sampling and serving pollers.
 constexpr std::size_t kPollBatch = 512;
+// Longest a poller, the query pump or an idle wait blocks without a
+// wake-up. Stop, quiesce and progress wake them at once; the bound only
+// caps a missed signal, and it keeps an idle poller's heartbeat turning.
+constexpr util::Micros kMaxBlockUs = 100'000;
+
+// The sampling pollers' batching rule (mq::Consumer): after a partial
+// batch, the next poll waits this long. Each batch a shard consumes becomes
+// one frame per serving worker, with a 24-byte header and a per-batch
+// dispatch cost, so a steady stream is read a linger's worth at a time,
+// while an update reaching an idle poller is read at once. The serving
+// pollers do not linger: their records are those frames, already batched.
+constexpr std::chrono::microseconds kSamplingLinger{100};
+
+util::EventCount::Clock::time_point BlockUntil(util::Micros us) {
+  return util::EventCount::Clock::now() + std::chrono::microseconds(us);
+}
 
 // Each sampling node's shard actors run on its own pool, so a teardown joins
 // exactly that node's threads.
@@ -47,14 +63,19 @@ class ThreadedCluster::ShardActor : public actor::Actor, private ShardStep::Sink
       step_->Consume(records, *this);
       // Published after the consume so the frames and control appends this
       // batch spawned are already in their partitions when the idle
-      // detector sees this shard caught up.
+      // barrier sees this shard caught up.
       cluster_->shard_applied_[step_->core().shard_id()].store(step_->core().applied_offset(),
                                                                std::memory_order_release);
+      cluster_->progress_.Notify();
     });
   }
 
   void Prune(graph::Timestamp cutoff) {
     Tell([this, cutoff] { step_->Prune(cutoff, *this); });
+  }
+
+  void Resubscribe() {
+    Tell([this] { step_->Resubscribe(*this); });
   }
 
   // Runs fn with exclusive access to the step (blocking the caller).
@@ -77,10 +98,9 @@ class ThreadedCluster::ShardActor : public actor::Actor, private ShardStep::Sink
   // slice that counted them. A kill lets a running slice finish, so every
   // frame dissemination.* counted reaches the log (node_engine.h).
   void Frame(std::uint32_t sew, const std::string& frame, std::uint32_t messages) override {
-    mq::Producer(*cluster_->broker_)
-        .Send(kSamplesTopic, std::string(), frame, static_cast<int>(sew));
-    // Flow balance counts messages, not frames: the idle detector pairs
-    // this with one serving_applied per decoded record.
+    cluster_->samples_->partition(sew).Append({}, frame, util::NowMicros());
+    // Flow balance counts messages, not frames: serving_applied counts one
+    // per decoded record.
     cluster_->flow_.serving_published->Add(messages);
   }
   // Control plane rides the destination shard's updates partition as a
@@ -89,8 +109,7 @@ class ThreadedCluster::ShardActor : public actor::Actor, private ShardStep::Sink
   // comes back.
   void Ctrl(std::uint32_t shard, const SubscriptionDelta& delta) override {
     cluster_->flow_.ctrl_sent->Add(1);
-    mq::Producer(*cluster_->broker_)
-        .Send(kUpdatesTopic, std::string(), EncodeCtrlRecord(delta), static_cast<int>(shard));
+    cluster_->updates_->partition(shard).Append({}, EncodeCtrlRecord(delta), util::NowMicros());
   }
 
   ThreadedCluster* cluster_;
@@ -110,7 +129,7 @@ class ThreadedCluster::SamplingPollActor : public actor::Actor {
                     std::vector<std::uint32_t> partitions)
       : cluster_(cluster), worker_id_(worker_id), partitions_(std::move(partitions)) {
     consumer_ = std::make_unique<mq::Consumer>(*cluster_->broker_, "sampling", kUpdatesTopic,
-                                               partitions_);
+                                               partitions_, kSamplingLinger);
   }
 
   void Loop() {
@@ -120,26 +139,21 @@ class ThreadedCluster::SamplingPollActor : public actor::Actor {
       if (ft::Supervisor* supervisor = cluster_->control_.supervisor()) {
         supervisor->Heartbeat(worker_id_, util::NowMicros());
       }
-      std::vector<mq::Record> records;
-      std::vector<std::uint32_t> partitions;
-      consumer_->PollWithPartitions(kPollBatch, records, partitions);
-      if (records.empty()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      } else {
-        // Group per shard, preserving order within each shard.
-        std::vector<std::vector<mq::Record>> per_shard(partitions_.size());
-        for (std::size_t i = 0; i < records.size(); ++i) {
-          per_shard[SlotOf(partitions[i])].push_back(std::move(records[i]));
-        }
-        for (std::uint32_t slot = 0; slot < per_shard.size(); ++slot) {
-          if (!per_shard[slot].empty()) {
-            cluster_->shards_[partitions_[slot]]->IngestBatch(std::move(per_shard[slot]));
-          }
-        }
+      records_.clear();
+      record_partitions_.clear();
+      if (consumer_->PollWithPartitions(kPollBatch, records_, record_partitions_,
+                                        BlockUntil(cluster_->poll_block_us_)) > 0) {
+        Deliver();
         consumer_->Commit();
       }
       Loop();
     });
+  }
+
+  // Cuts a blocked poll short (Stop wakes every poller this way). Callers
+  // hold the control plane's mutex, like StopAndJoin's.
+  void Wake() {
+    if (consumer_ != nullptr) consumer_->Wake();
   }
 
   // Migration quiesce. Unlike Kill() — which models a crash and drops the
@@ -147,15 +161,36 @@ class ThreadedCluster::SamplingPollActor : public actor::Actor {
   // quiescence with a barrier: Loop()'s deliver+commit pair runs inside one
   // mailbox closure, so when this returns the committed group offsets are
   // exact, every delivered record is already queued at its shard actor, and
-  // no further polls will run. Idempotent; a no-op on a killed actor.
+  // no further polls will run. A blocked poll is woken, not waited out, and
+  // the consumer is then dropped, so a retired poller costs appends nothing.
+  // Idempotent; a no-op on a killed actor.
   void StopAndJoin() {
     stop_.store(true, std::memory_order_release);
+    Wake();
     std::promise<void> done;
     if (!Tell([&done] { done.set_value(); })) return;
     done.get_future().wait();
+    consumer_.reset();
   }
 
  private:
+  // Hands each shard its records, in log order.
+  void Deliver() {
+    if (partitions_.size() == 1) {
+      cluster_->shards_[partitions_[0]]->IngestBatch(std::move(records_));
+      return;
+    }
+    std::vector<std::vector<mq::Record>> per_shard(partitions_.size());
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+      per_shard[SlotOf(record_partitions_[i])].push_back(std::move(records_[i]));
+    }
+    for (std::uint32_t slot = 0; slot < per_shard.size(); ++slot) {
+      if (!per_shard[slot].empty()) {
+        cluster_->shards_[partitions_[slot]]->IngestBatch(std::move(per_shard[slot]));
+      }
+    }
+  }
+
   std::size_t SlotOf(std::uint32_t partition) const {
     for (std::size_t i = 0; i < partitions_.size(); ++i) {
       if (partitions_[i] == partition) return i;
@@ -168,6 +203,9 @@ class ThreadedCluster::SamplingPollActor : public actor::Actor {
   std::vector<std::uint32_t> partitions_;
   std::atomic<bool> stop_{false};
   std::unique_ptr<mq::Consumer> consumer_;
+  // Poll buffers, reused across polls.
+  std::vector<mq::Record> records_;
+  std::vector<std::uint32_t> record_partitions_;
 };
 
 // Data-updating actor of one serving worker (§4.3): a mailbox over the
@@ -197,8 +235,7 @@ class ThreadedCluster::ServingUpdateActor : public actor::Actor {
               // control-spawned messages); only measure stamped updates.
               if (msg.OriginMicros() > 0) tracer.RecordEndToEnd(msg.OriginMicros(), start_us);
             });
-        // Fenced messages still count: the shard counted them as published,
-        // and the idle detector pairs published with applied.
+        // Fenced messages still count: the shard counted them as published.
         cluster_->flow_.serving_applied->Add(d.messages);
         if (!d.ok) {
           HLOG(kWarn, "serving") << "malformed serving batch at offset " << r.offset;
@@ -207,6 +244,11 @@ class ThreadedCluster::ServingUpdateActor : public actor::Actor {
       // Cache-apply stage: one span per drained batch on this worker's lane.
       tracer.RecordSpan(obs::Stage::kCacheApply, start_us, tracer.Now() - start_us,
                         kServingPidBase + worker_id_, 0);
+      if (!records.empty()) {
+        cluster_->serving_applied_[worker_id_].store(records.back().offset + 1,
+                                                     std::memory_order_release);
+        cluster_->progress_.Notify();
+      }
     });
   }
 
@@ -229,16 +271,15 @@ class ThreadedCluster::ServingPollActor : public actor::Actor {
     Tell([this] {
       if (!cluster_->running_.load(std::memory_order_acquire)) return;
       std::vector<mq::Record> records;
-      consumer_->Poll(kPollBatch, records);
-      if (records.empty()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      } else {
+      if (consumer_->Poll(kPollBatch, records, BlockUntil(cluster_->poll_block_us_)) > 0) {
         cluster_->serving_updaters_[worker_id_]->ApplyBatch(std::move(records));
         consumer_->Commit();
       }
       Loop();
     });
   }
+
+  void Wake() { consumer_->Wake(); }
 
  private:
   ThreadedCluster* cluster_;
@@ -284,6 +325,13 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
   }
   broker_->CreateTopic(kUpdatesTopic, options_.map.TotalShards());
   broker_->CreateTopic(kSamplesTopic, options_.map.serving_workers);
+  updates_ = broker_->GetTopic(kUpdatesTopic);
+  samples_ = broker_->GetTopic(kSamplesTopic);
+  // A blocked poll turns over at least four times per supervision timeout,
+  // so an idle node keeps heartbeating.
+  poll_block_us_ = options_.supervision_timeout > 0
+                       ? std::clamp<util::Micros>(options_.supervision_timeout / 4, 1, kMaxBlockUs)
+                       : kMaxBlockUs;
   system_ = std::make_unique<actor::ActorSystem>();
 
   // One thread per workload class and worker, as in §4.2/§4.3. The shard
@@ -294,6 +342,12 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
   system_->AddPool("update", options_.map.serving_workers);
 
   shard_applied_ = std::make_unique<std::atomic<std::uint64_t>[]>(options_.map.TotalShards());
+  // A serving worker starts applied up to where its consumer group resumes.
+  serving_applied_ =
+      std::make_unique<std::atomic<std::uint64_t>[]>(options_.map.serving_workers);
+  for (std::uint32_t w = 0; w < options_.map.serving_workers; ++w) {
+    serving_applied_[w].store(broker_->CommittedOffset("serving", kSamplesTopic, w));
+  }
   const elastic::ShardMap::View placement = control_.placement().Current();
   for (std::uint32_t s = 0; s < options_.map.TotalShards(); ++s) {
     const std::uint32_t owner = placement->OwnerOf(s);
@@ -344,9 +398,9 @@ ThreadedCluster::ThreadedCluster(QueryPlan plan, ClusterOptions options)
     serving_pollers_.push_back(std::move(poller));
   }
   if (options_.enable_admission) {
-    admission_queues_ = AdmissionQueue::ForWorkers(options_.map.serving_workers,
-                                                   options_.admission, &registry_,
-                                                   options_.telemetry);
+    admission_queues_ =
+        AdmissionQueue::ForWorkers(options_.map.serving_workers, options_.admission, &registry_,
+                                   options_.telemetry, &query_signal_);
   }
 
   if (options_.trace != nullptr) {
@@ -367,7 +421,13 @@ void ThreadedCluster::Start() {
   if (!running_.compare_exchange_strong(expected, true)) return;
   for (auto& poller : sampling_pollers_) poller->Loop();
   for (auto& poller : serving_pollers_) poller->Loop();
-  if (control_.supervisor() != nullptr) monitor_ = std::thread([this] { MonitorLoop(); });
+  if (ft::Supervisor* supervisor = control_.supervisor()) {
+    // Supervision starts with the pipelines: the time between construction
+    // and Start() is no node's silence.
+    const util::Micros now = util::NowMicros();
+    for (std::uint32_t w = 0; w < options_.map.sampling_workers; ++w) supervisor->Heartbeat(w, now);
+    monitor_ = std::thread([this] { MonitorLoop(); });
+  }
   if (!admission_queues_.empty()) query_pump_ = std::thread([this] { QueryPumpLoop(); });
 }
 
@@ -389,8 +449,29 @@ void ThreadedCluster::MonitorLoop() {
   }
 }
 
+util::Status ThreadedCluster::Restore(const std::string& dir) {
+  const util::Status status = control_.Restore(dir);
+  if (!status.ok()) return status;
+  // The restored shards know what every serving worker subscribed to, but
+  // this cluster's caches start empty: re-send each subscribed cell as a
+  // first subscription would.
+  std::lock_guard<std::recursive_mutex> lock(control_.mutex());
+  for (auto& shard : shards_) shard->Resubscribe();
+  return status;
+}
+
+void ThreadedCluster::WakePollers() {
+  std::lock_guard<std::recursive_mutex> lock(control_.mutex());
+  for (auto& poller : sampling_pollers_) poller->Wake();
+  for (auto& poller : serving_pollers_) poller->Wake();
+}
+
 void ThreadedCluster::Stop() {
   running_.store(false, std::memory_order_release);
+  // Blocked polls and the query pump return at once instead of at their
+  // deadline.
+  WakePollers();
+  query_signal_.Notify();
   if (monitor_.joinable()) monitor_.join();
   if (query_pump_.joinable()) query_pump_.join();
   // Fence semantics: admitted queries are answered before shutdown, never
@@ -407,10 +488,9 @@ void ThreadedCluster::Stop() {
 }
 
 void ThreadedCluster::PublishUpdate(const graph::GraphUpdate& update) {
-  mq::Producer producer(*broker_);
   auto publish_to = [&](graph::VertexId owner, const graph::GraphUpdate& u) {
-    producer.Send(kUpdatesTopic, std::string(), graph::EncodeUpdate(u),
-                  static_cast<int>(options_.map.ShardOf(owner)));
+    updates_->partition(options_.map.ShardOf(owner))
+        .Append({}, graph::EncodeUpdate(u), util::NowMicros());
     flow_.updates_published->Add(1);
   };
   if (const auto* v = std::get_if<graph::VertexUpdate>(&update)) {
@@ -431,46 +511,44 @@ void ThreadedCluster::PublishUpdate(const graph::GraphUpdate& update) {
   }
 }
 
-void ThreadedCluster::WaitForIngestIdle() {
-  // Idle = every live shard has applied its updates partition up to the
-  // end offset (this covers control deltas too — they ride the same log),
-  // no sampling-side mailbox holds work, the serving side has applied
-  // everything published, and all of it is stable over two consecutive
-  // probes. Cumulative publish/process counters are deliberately not
-  // compared: log replay after a crash re-counts processed records, while
-  // offsets stay exact. Partitions of dead nodes are excluded — they drain
-  // when the node is re-admitted.
-  mq::Topic* updates = broker_->GetTopic(kUpdatesTopic);
-  std::uint64_t last_fingerprint = ~0ULL;
-  int stable = 0;
-  while (stable < 2) {
-    bool drained = true;
-    std::uint64_t applied_sum = 0;
-    {
-      std::lock_guard<std::recursive_mutex> lock(control_.mutex());
-      const elastic::ShardMap::View view = control_.placement().Current();
-      for (std::uint32_t s = 0; s < options_.map.TotalShards(); ++s) {
-        if (!control_.NodeAlive(view->OwnerOf(s))) continue;
-        const std::uint64_t applied = shard_applied_[s].load(std::memory_order_acquire);
-        applied_sum += applied;
-        if (applied < updates->partition(s).end_offset()) drained = false;
-        if (shards_[s]->MailboxDepth() != 0) drained = false;
+std::uint64_t ThreadedCluster::LogEnds() const {
+  std::uint64_t sum = 0;
+  for (std::uint32_t p = 0; p < updates_->num_partitions(); ++p) {
+    sum += updates_->partition(p).end_offset();
+  }
+  for (std::uint32_t p = 0; p < samples_->num_partitions(); ++p) {
+    sum += samples_->partition(p).end_offset();
+  }
+  return sum;
+}
+
+bool ThreadedCluster::IngestIdle() const {
+  const std::uint64_t ends_before = LogEnds();
+  {
+    std::lock_guard<std::recursive_mutex> lock(control_.mutex());
+    const elastic::ShardMap::View view = control_.placement().Current();
+    for (std::uint32_t s = 0; s < options_.map.TotalShards(); ++s) {
+      if (!control_.NodeAlive(view->OwnerOf(s))) continue;
+      if (shard_applied_[s].load(std::memory_order_acquire) < updates_->partition(s).end_offset()) {
+        return false;
       }
     }
-    for (const auto& updater : serving_updaters_) {
-      if (updater->MailboxDepth() != 0) drained = false;
+  }
+  for (std::uint32_t w = 0; w < options_.map.serving_workers; ++w) {
+    if (serving_applied_[w].load(std::memory_order_acquire) < samples_->partition(w).end_offset()) {
+      return false;
     }
-    const std::uint64_t spub = flow_.serving_published->Value();
-    const std::uint64_t sapp = flow_.serving_applied->Value();
-    const bool balanced = drained && spub == sapp;
-    const std::uint64_t fingerprint = applied_sum * 1000003ULL + sapp * 10007ULL + spub;
-    if (balanced && fingerprint == last_fingerprint) {
-      stable++;
-    } else {
-      stable = 0;
-    }
-    last_fingerprint = fingerprint;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // Ends only grow: equal sums mean no append landed while the offsets
+  // above were compared.
+  return LogEnds() == ends_before;
+}
+
+void ThreadedCluster::WaitForIngestIdle() {
+  for (;;) {
+    const std::uint64_t key = progress_.Key();
+    if (IngestIdle()) return;
+    progress_.Wait(key, BlockUntil(kMaxBlockUs));
   }
 }
 
@@ -525,18 +603,24 @@ bool ThreadedCluster::PumpOnce(std::uint32_t worker, bool drain) {
 
 void ThreadedCluster::QueryPumpLoop() {
   while (running_.load(std::memory_order_acquire)) {
+    // Read before the pass: an Offer during it cuts the wait short.
+    const std::uint64_t key = query_signal_.Key();
     bool any = false;
     for (std::uint32_t w = 0; w < admission_queues_.size(); ++w) {
       any = PumpOnce(w, /*drain=*/false) || any;
     }
-    if (!any) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (!any) query_signal_.Wait(key, BlockUntil(kMaxBlockUs));
   }
 }
 
 void ThreadedCluster::WaitForQueryIdle() {
-  while (!std::all_of(admission_queues_.begin(), admission_queues_.end(),
-                      [](const auto& q) { return q->Idle(); })) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  for (;;) {
+    const std::uint64_t key = query_signal_.Key();
+    if (std::all_of(admission_queues_.begin(), admission_queues_.end(),
+                    [](const auto& q) { return q->Idle(); })) {
+      return;
+    }
+    query_signal_.Wait(key, BlockUntil(kMaxBlockUs));
   }
 }
 
@@ -590,13 +674,13 @@ ControlPlane::Driver ThreadedCluster::Mechanics() {
     sampling_pollers_[node]->Kill();
     for (const std::uint32_t s : control_.placement().ShardsOf(node)) shards_[s]->Kill();
     system_->StopPool(PoolOf(node));
+    // The idle barrier no longer waits on this node's shards.
+    progress_.Notify();
   };
   d.new_step = [this](std::uint32_t s, std::uint32_t node, ShardLedger& ledger) {
     return NewStep(s, node, ledger);
   };
-  d.log_end = [this](std::uint32_t s) {
-    return broker_->GetTopic(kUpdatesTopic)->partition(s).end_offset();
-  };
+  d.log_end = [this](std::uint32_t s) { return updates_->partition(s).end_offset(); };
   // The WithStep barrier queues behind whatever the poller already
   // delivered, so the state and its applied offset sit on a frame boundary.
   d.snapshot = [this](std::uint32_t s, graph::ByteWriter& w) {
@@ -614,6 +698,7 @@ ControlPlane::Driver ThreadedCluster::Mechanics() {
     const auto rewound =
         broker_->ReplayFrom("sampling", kUpdatesTopic, s, step->core().applied_offset());
     shard_applied_[s].store(rewound.ValueOr(0), std::memory_order_release);
+    progress_.Notify();
     // Retire the old incarnation, killed before detached so no stray Tell
     // lands between the two. A live owner's pool keeps running (migration),
     // so a queued slice may still touch the actor: park it until Stop(). A

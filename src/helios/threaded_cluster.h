@@ -51,6 +51,7 @@
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "store/segment_store.h"
+#include "util/event_count.h"
 #include "util/histogram.h"
 
 namespace helios {
@@ -140,7 +141,17 @@ class ThreadedCluster {
   void PublishUpdate(const graph::GraphUpdate& update);
 
   // Blocks until every published update and every message it spawned has
-  // been fully processed (queues drained, actors idle).
+  // been applied. Exact rule, checked whenever a shard or serving worker
+  // publishes progress (no sleeping): every live shard's applied offset is
+  // at least its updates-partition end (control deltas ride that log too),
+  // every serving worker's applied offset is at least its samples-partition
+  // end, and the sum of all partition ends is the same before and after
+  // those comparisons, so no append landed while they ran. Shards of dead
+  // nodes are excluded; their partitions drain when the node is re-admitted.
+  // A shard's offset is published only after the frames and deltas its
+  // batch spawned are appended, so a caught-up shard has nothing in flight.
+  // Work that does not come from a log (a TTL pass) must be fenced by the
+  // caller first, as PruneTTL does.
   void WaitForIngestIdle();
 
   // ---- request path (front-end, §4.3): routes by seed vertex and
@@ -181,7 +192,9 @@ class ThreadedCluster {
   // (per-shard consistency permits mixed checkpoint ages).
   util::Status Checkpoint(const std::string& dir) { return control_.Checkpoint(dir); }
   // Restores shard state from a checkpoint directory (call before Start()).
-  util::Status Restore(const std::string& dir) { return control_.Restore(dir); }
+  // Each restored shard then re-sends every subscribed cell and feature, the
+  // messages a first subscription sends, so the empty serving caches fill.
+  util::Status Restore(const std::string& dir);
 
   // ---- fault injection & recovery (docs/FAULT_TOLERANCE.md)
   // Kills sampling worker `node`: its polling actor stops, its shard actors
@@ -240,6 +253,15 @@ class ThreadedCluster {
   elastic::ShardMigrator& migrator() { return control_.migrator(); }
 
   ClusterStats Stats() const;
+  // Inputs of the idle barrier, for inspection: the offset shard `shard`
+  // has applied and the end of its updates partition (equal once it has
+  // caught up).
+  std::uint64_t ShardAppliedOffset(std::uint32_t shard) const {
+    return shard_applied_[shard].load(std::memory_order_acquire);
+  }
+  std::uint64_t UpdatesLogEnd(std::uint32_t shard) const {
+    return updates_->partition(shard).end_offset();
+  }
   // End-to-end ingestion latency (publish -> applied at serving cache);
   // merged "pipeline.ingest_e2e" cells of the registry.
   util::Histogram IngestionLatency() const;
@@ -272,6 +294,12 @@ class ThreadedCluster {
   std::unique_ptr<ShardStep> NewStep(std::uint32_t shard, std::uint32_t node,
                                      ShardLedger& ledger);
   void MonitorLoop();
+  // Cuts every blocked poll short.
+  void WakePollers();
+  // Sum of the end offsets of every partition of both topics.
+  std::uint64_t LogEnds() const;
+  // One evaluation of WaitForIngestIdle's rule.
+  bool IngestIdle() const;
   void QueryPumpLoop();
   // One pump step on `worker`'s queue: pops one ticket (unshed when
   // draining), serves it and completes it. False when nothing was popped.
@@ -298,6 +326,10 @@ class ThreadedCluster {
   // the store) is destroyed first. Null unless durable_log_dir was set.
   std::unique_ptr<store::SegmentStore> mq_store_;
   std::unique_ptr<mq::Broker> broker_;
+  mq::Topic* updates_ = nullptr;  // resolved once; topics live as long as the broker
+  mq::Topic* samples_ = nullptr;
+  // Longest a poll blocks before its loop turns over (heartbeat cadence).
+  util::Micros poll_block_us_ = 0;
   std::unique_ptr<actor::ActorSystem> system_;
   // Per-serving-worker stage tracers ({worker=<w>}), shared by the
   // data-updating actor (cache-apply + e2e) and Serve() (serve stage).
@@ -322,7 +354,10 @@ class ThreadedCluster {
   std::vector<std::shared_ptr<actor::Actor>> retired_actors_;
   std::vector<std::unique_ptr<ServingCore>> serving_cores_;
 
-  // Admission front door (empty unless options_.enable_admission).
+  // Admission front door (empty unless options_.enable_admission). The
+  // queues signal query_signal_ on every Offer, shed and Complete; the pump
+  // and WaitForQueryIdle block on it.
+  util::EventCount query_signal_;
   std::vector<std::unique_ptr<AdmissionQueue>> admission_queues_;
   std::thread query_pump_;
 
@@ -330,10 +365,14 @@ class ThreadedCluster {
 
   std::thread monitor_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_applied_;  // per shard: log offset applied
+  // Per serving worker: samples-partition offset applied to its cache.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> serving_applied_;
+  // Signalled whenever an applied offset above moves or a node's shards
+  // leave or rejoin the live set: what WaitForIngestIdle blocks on.
+  util::EventCount progress_;
   mutable std::mutex reports_mutex_;
   std::vector<ft::RecoveryReport> reports_;
-  // Cluster-level flow counters, registry-backed ("cluster.*"). The idle
-  // detector compares producer/consumer pairs, so these must be the
+  // Cluster-level flow counters, registry-backed ("cluster.*"): the
   // authoritative cells, not copies.
   struct FlowCounters {
     obs::Counter* updates_published;

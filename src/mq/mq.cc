@@ -189,11 +189,23 @@ std::uint64_t Partition::AppendLocked(std::string_view key, std::string_view val
   return end_offset_++;
 }
 
-std::uint64_t Partition::Append(std::string key, std::string value, util::Micros now) {
+std::uint64_t Partition::Append(std::string_view key, std::string_view value, util::Micros now) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t offset = AppendLocked(key, value, now);
   if (durable_ != nullptr) AppendDurableLocked(offset, now, key, value);
+  // Under the lock, so Unwatch cannot return while a signal is in flight.
+  for (util::EventCount* w : watchers_) w->Notify();
   return offset;
+}
+
+void Partition::Watch(util::EventCount* watcher) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  watchers_.push_back(watcher);
+}
+
+void Partition::Unwatch(util::EventCount* watcher) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  watchers_.erase(std::remove(watchers_.begin(), watchers_.end(), watcher), watchers_.end());
 }
 
 const char* Partition::RecordAt(std::uint64_t offset) const {
@@ -490,39 +502,90 @@ void Broker::PublishTo(obs::MetricsRegistry* registry) const {
 
 // ----------------------------------------------------------------- Producer
 
-util::StatusOr<std::uint64_t> Producer::Send(const std::string& topic, std::string key,
-                                             std::string value, int partition) {
-  Topic* t = broker_.GetTopic(topic);
+util::StatusOr<std::uint64_t> Producer::Send(const std::string& topic, std::string_view key,
+                                             std::string_view value, int partition) {
+  if (topic_ == nullptr || topic_->name() != topic) topic_ = broker_.GetTopic(topic);
+  Topic* t = topic_;
   if (t == nullptr) return util::Status::NotFound("no such topic: " + topic);
   std::uint32_t p = partition >= 0 ? static_cast<std::uint32_t>(partition)
                                    : t->PartitionForKey(key);
   if (p >= t->num_partitions()) return util::Status::InvalidArgument("partition out of range");
-  return t->partition(p).Append(std::move(key), std::move(value), util::NowMicros());
+  return t->partition(p).Append(key, value, util::NowMicros());
 }
 
 // ----------------------------------------------------------------- Consumer
 
 Consumer::Consumer(Broker& broker, std::string group, std::string topic,
-                   std::vector<std::uint32_t> partitions)
+                   std::vector<std::uint32_t> partitions, std::chrono::microseconds linger)
     : broker_(broker),
       group_(std::move(group)),
       topic_(std::move(topic)),
-      partitions_(std::move(partitions)) {
+      partitions_(std::move(partitions)),
+      linger_(linger) {
   positions_.reserve(partitions_.size());
   for (std::uint32_t p : partitions_) {
     positions_.push_back(broker_.CommittedOffset(group_, topic_, p));
   }
+  committed_ = positions_;
+  Resolve();
 }
 
-std::size_t Consumer::Poll(std::size_t max_records, std::vector<Record>& out) {
-  std::vector<std::uint32_t> ignored;
-  return PollWithPartitions(max_records, out, ignored);
+Consumer::~Consumer() {
+  if (resolved_ == nullptr) return;
+  for (std::uint32_t p : partitions_) {
+    if (p < resolved_->num_partitions()) resolved_->partition(p).Unwatch(&data_);
+  }
+}
+
+Topic* Consumer::Resolve() const {
+  if (resolved_ != nullptr) return resolved_;
+  resolved_ = broker_.GetTopic(topic_);
+  if (resolved_ == nullptr) return nullptr;
+  for (std::uint32_t p : partitions_) {
+    if (p < resolved_->num_partitions()) resolved_->partition(p).Watch(&data_);
+  }
+  return resolved_;
+}
+
+std::size_t Consumer::Poll(std::size_t max_records, std::vector<Record>& out, Deadline deadline) {
+  return PollInto(max_records, out, nullptr, deadline);
 }
 
 std::size_t Consumer::PollWithPartitions(std::size_t max_records, std::vector<Record>& out,
-                                         std::vector<std::uint32_t>& partitions_out) {
-  Topic* t = broker_.GetTopic(topic_);
+                                         std::vector<std::uint32_t>& partitions_out,
+                                         Deadline deadline) {
+  return PollInto(max_records, out, &partitions_out, deadline);
+}
+
+std::size_t Consumer::PollInto(std::size_t max_records, std::vector<Record>& out,
+                               std::vector<std::uint32_t>* partitions_out, Deadline deadline) {
+  Topic* t = Resolve();
   if (t == nullptr || partitions_.empty()) return 0;
+  using Clock = util::EventCount::Clock;
+  Clock::time_point now = Clock::now();
+  if (deadline <= now) return ReadAvailable(t, max_records, out, partitions_out);
+  if (linger_until_ > now) {
+    const std::uint64_t key = wake_.Key();
+    if (!woken_.load(std::memory_order_seq_cst)) wake_.Wait(key, std::min(linger_until_, deadline));
+  }
+  for (;;) {
+    // The key is read before the partitions, so an append after the read
+    // below cuts the wait short.
+    const std::uint64_t key = data_.Key();
+    const std::size_t n = ReadAvailable(t, max_records, out, partitions_out);
+    now = Clock::now();
+    if (n > 0) {
+      linger_until_ = n < max_records ? now + linger_ : Deadline{};
+      return n;
+    }
+    linger_until_ = Deadline{};
+    if (woken_.exchange(false, std::memory_order_seq_cst) || now >= deadline) return 0;
+    data_.Wait(key, deadline);
+  }
+}
+
+std::size_t Consumer::ReadAvailable(Topic* t, std::size_t max_records, std::vector<Record>& out,
+                                    std::vector<std::uint32_t>* partitions_out) {
   std::size_t total = 0;
   // Round-robin over assigned partitions so one hot partition cannot starve
   // the others (matters for the skew experiments).
@@ -536,20 +599,30 @@ std::size_t Consumer::PollWithPartitions(std::size_t max_records, std::vector<Re
     // Position advances to just past the last record actually returned
     // (records before start_offset may have been truncated away).
     positions_[i] = out.back().offset + 1;
-    partitions_out.insert(partitions_out.end(), out.size() - before, p);
+    if (partitions_out != nullptr) {
+      partitions_out->insert(partitions_out->end(), out.size() - before, p);
+    }
     total += n;
   }
   return total;
 }
 
+void Consumer::Wake() {
+  woken_.store(true, std::memory_order_seq_cst);
+  wake_.Notify();
+  data_.Notify();
+}
+
 void Consumer::Commit() {
   for (std::size_t i = 0; i < partitions_.size(); ++i) {
+    if (positions_[i] == committed_[i]) continue;
     broker_.CommitOffset(group_, topic_, partitions_[i], positions_[i]);
+    committed_[i] = positions_[i];
   }
 }
 
 std::uint64_t Consumer::Lag() const {
-  Topic* t = broker_.GetTopic(topic_);
+  Topic* t = Resolve();
   if (t == nullptr) return 0;
   std::uint64_t lag = 0;
   for (std::size_t i = 0; i < partitions_.size(); ++i) {

@@ -25,8 +25,13 @@
 // offsets stream — so a broker rebuilt over the same store recovers every
 // group-committed record and offset. Without a bound store the behaviour is
 // unchanged (memory only).
+// Consumers block instead of sleep-polling: each one parks on its own
+// util::EventCount, which every partition it reads signals on Append (see
+// Consumer::Poll for the wake-up and batching rule).
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -38,6 +43,7 @@
 
 #include "obs/metrics.h"
 #include "util/clock.h"
+#include "util/event_count.h"
 #include "util/hash.h"
 #include "util/status.h"
 
@@ -65,8 +71,15 @@ class Partition {
   Partition();
   ~Partition();
 
-  // Returns the offset assigned to the record.
-  std::uint64_t Append(std::string key, std::string value, util::Micros now);
+  // Returns the offset assigned to the record, after signalling every
+  // watcher.
+  std::uint64_t Append(std::string_view key, std::string_view value, util::Micros now);
+
+  // Registers / removes a wake-up channel that every Append signals
+  // (Consumer's blocking poll). Unwatch returns only when no Append still
+  // signals `watcher`, so its owner may be destroyed afterwards.
+  void Watch(util::EventCount* watcher);
+  void Unwatch(util::EventCount* watcher);
 
   // Copies up to max_records starting at `offset` into out; returns the
   // number copied. Reading before start_offset() snaps to start_offset().
@@ -119,6 +132,7 @@ class Partition {
   std::deque<Block> blocks_;
   std::size_t bytes_ = 0;
   std::unique_ptr<Durable> durable_;  // null = memory-only (the default)
+  std::vector<util::EventCount*> watchers_;
 };
 
 // A named set of partitions.
@@ -132,7 +146,7 @@ class Topic {
   const Partition& partition(std::uint32_t p) const { return *partitions_[p]; }
 
   // Key-hash routing used when the producer does not pick a partition.
-  std::uint32_t PartitionForKey(const std::string& key) const {
+  std::uint32_t PartitionForKey(std::string_view key) const {
     return static_cast<std::uint32_t>(util::FnvHash(key) % num_partitions());
   }
 
@@ -203,18 +217,21 @@ class Broker {
   std::uint64_t offsets_appends_ = 0;
 };
 
-// Thin producer handle.
+// Thin producer handle. It resolves its topic through the broker once and
+// keeps the pointer (topics are never removed), so a send touches only the
+// partition's lock. One handle per thread.
 class Producer {
  public:
   explicit Producer(Broker& broker) : broker_(broker) {}
 
   // Sends to the key-hashed partition (or `partition` if >= 0). Returns the
   // assigned offset, or an error if the topic does not exist.
-  util::StatusOr<std::uint64_t> Send(const std::string& topic, std::string key, std::string value,
-                                     int partition = -1);
+  util::StatusOr<std::uint64_t> Send(const std::string& topic, std::string_view key,
+                                     std::string_view value, int partition = -1);
 
  private:
   Broker& broker_;
+  Topic* topic_ = nullptr;  // the last topic sent to
 };
 
 // Consumer bound to a fixed set of partitions of one topic (Helios assigns
@@ -222,27 +239,67 @@ class Producer {
 // in-memory position; Commit() persists it to the broker for restart.
 class Consumer {
  public:
-  Consumer(Broker& broker, std::string group, std::string topic,
-           std::vector<std::uint32_t> partitions);
+  using Deadline = util::EventCount::Clock::time_point;
 
-  // Reads up to max_records across assigned partitions (round-robin).
-  std::size_t Poll(std::size_t max_records, std::vector<Record>& out);
+  // `linger` is the batching rule of the blocking poll: after a blocking
+  // poll returns a partial batch, the next one reads no earlier than
+  // `linger` later (unless woken). A record that reaches an idle consumer is
+  // read at once; a steady stream is read in batches of about rate × linger
+  // instead of one wake-up per record; a backlog is read in full batches
+  // back to back. Zero reads every record as soon as it lands.
+  Consumer(Broker& broker, std::string group, std::string topic,
+           std::vector<std::uint32_t> partitions, std::chrono::microseconds linger = {});
+  ~Consumer();
+  Consumer(const Consumer&) = delete;
+  Consumer& operator=(const Consumer&) = delete;
+
+  // Reads up to max_records across assigned partitions (round-robin),
+  // appending them to `out`. With a `deadline` in the future the poll
+  // blocks: it first waits out the linger of a previous partial batch,
+  // then, while nothing is readable, parks until an assigned partition is
+  // appended to, Wake() is called, or the deadline passes. The default
+  // deadline never blocks.
+  std::size_t Poll(std::size_t max_records, std::vector<Record>& out, Deadline deadline = {});
   // Like Poll but also reports the source partition of each record.
   std::size_t PollWithPartitions(std::size_t max_records, std::vector<Record>& out,
-                                 std::vector<std::uint32_t>& partitions_out);
+                                 std::vector<std::uint32_t>& partitions_out,
+                                 Deadline deadline = {});
+  // Makes a blocked poll (or else the next one) return at once. The only
+  // member that may be called from another thread.
+  void Wake();
 
+  // Persists the position of every partition read since the last commit;
+  // unmoved partitions cost nothing.
   void Commit();
   // Total records available but not yet consumed (the consumer lag —
   // Helios's ingestion-latency experiments watch this).
   std::uint64_t Lag() const;
 
  private:
+  // The topic, resolved once it exists; its partitions are watched from then on.
+  Topic* Resolve() const;
+  // Poll and PollWithPartitions; `partitions_out` may be null.
+  std::size_t PollInto(std::size_t max_records, std::vector<Record>& out,
+                       std::vector<std::uint32_t>* partitions_out, Deadline deadline);
+  std::size_t ReadAvailable(Topic* t, std::size_t max_records, std::vector<Record>& out,
+                            std::vector<std::uint32_t>* partitions_out);
+
   Broker& broker_;
   std::string group_;
   std::string topic_;
   std::vector<std::uint32_t> partitions_;
   std::vector<std::uint64_t> positions_;  // next offset to read, per partition
+  std::vector<std::uint64_t> committed_;  // last position committed, per partition
   std::size_t next_partition_index_ = 0;  // round-robin cursor
+  std::chrono::microseconds linger_;
+  mutable Topic* resolved_ = nullptr;
+  // Signalled by Append on every watched partition, and by Wake().
+  mutable util::EventCount data_;
+  // Signalled by Wake() only: the linger is not cut short by appends, so a
+  // steady producer never pays for waking a lingering consumer.
+  util::EventCount wake_;
+  std::atomic<bool> woken_{false};
+  Deadline linger_until_{};
 };
 
 }  // namespace helios::mq

@@ -17,6 +17,7 @@
 #include "graph/dynamic_graph.h"
 #include "helios/threaded_cluster.h"
 #include "util/clock.h"
+#include "util/rng.h"
 
 namespace helios {
 namespace {
@@ -75,6 +76,65 @@ TEST_F(ClusterTest, IngestsEverythingAndBalances) {
   EXPECT_EQ(stats.serving_msgs_published, stats.serving_msgs_applied);
   EXPECT_EQ(stats.ctrl_sent, stats.ctrl_processed);
   EXPECT_GT(stats.serving_msgs_applied, 0u);
+  cluster.Stop();
+}
+
+// The idle barrier is exact: when WaitForIngestIdle returns, every shard
+// has applied its whole updates log and every published serving message is
+// applied, and a second wait finds nothing left to move. Bursts of varied
+// size end the barrier at varied points of the pipeline.
+TEST_F(ClusterTest, IdleBarrierIsExactAfterEveryBurst) {
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+  ThreadedCluster cluster(Plan(Strategy::kTopK), options);
+  cluster.Start();
+  gen::UpdateStream stream(SmallSpec());
+  std::vector<graph::GraphUpdate> updates = stream.Drain();
+  util::Rng rng(3);
+  auto positions = [&] {
+    std::vector<std::uint64_t> p;
+    for (std::uint32_t s = 0; s < options.map.TotalShards(); ++s) {
+      p.push_back(cluster.ShardAppliedOffset(s));
+      p.push_back(cluster.UpdatesLogEnd(s));
+    }
+    return p;
+  };
+  auto counters = [&] {
+    const ClusterStats s = cluster.Stats();
+    return std::vector<std::uint64_t>{s.updates_published, s.updates_processed,
+                                      s.serving_msgs_published, s.serving_msgs_applied,
+                                      s.ctrl_sent, s.ctrl_processed};
+  };
+  for (std::size_t next = 0, burst = 0; next < updates.size(); ++burst) {
+    const std::size_t n = std::min<std::size_t>(updates.size() - next, 1 + rng.Uniform(400));
+    for (std::size_t i = 0; i < n; ++i) cluster.PublishUpdate(updates[next++]);
+    cluster.WaitForIngestIdle();
+    SCOPED_TRACE("burst " + std::to_string(burst));
+    for (std::uint32_t s = 0; s < options.map.TotalShards(); ++s) {
+      ASSERT_EQ(cluster.ShardAppliedOffset(s), cluster.UpdatesLogEnd(s)) << "shard " << s;
+    }
+    const auto stats = counters();
+    ASSERT_EQ(stats[2], stats[3]) << "serving_msgs_published != serving_msgs_applied";
+    const auto at = positions();
+    cluster.WaitForIngestIdle();
+    ASSERT_EQ(counters(), stats);
+    ASSERT_EQ(positions(), at);
+  }
+  cluster.Stop();
+}
+
+// An idle node keeps heartbeating while its poller blocks: a started
+// cluster left alone well past its supervision timeout recovers nothing.
+TEST_F(ClusterTest, IdleClusterKeepsHeartbeatingUnderShortSupervision) {
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+  options.supervision_timeout = 20'000;  // 20 ms
+  ThreadedCluster cluster(Plan(Strategy::kTopK), options);
+  cluster.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_TRUE(cluster.RecoveryReports().empty());
+  EXPECT_TRUE(cluster.NodeAlive(0));
+  EXPECT_TRUE(cluster.NodeAlive(1));
   cluster.Stop();
 }
 

@@ -433,8 +433,6 @@ TEST(ThreadedRecovery, CorruptCheckpointFailsRecovery) {
 // peers' control fences in it hold that epoch. Restoring it into a fresh
 // cluster must re-admit each shard above it, or the peers fence (drop) every
 // new control delta. Nothing replays after a restore, so nothing may fence.
-// (Restores into fresh clusters are not byte-comparable with each other: the
-// serving caches start empty and fill in control-interleaving order.)
 TEST(ThreadedRecovery, RestoreOfRecoveredCheckpointKeepsControlFlowing) {
   const auto updates = SmallStream();
   const auto plan = Plan();
@@ -472,6 +470,52 @@ TEST(ThreadedRecovery, RestoreOfRecoveredCheckpointKeepsControlFlowing) {
   EXPECT_EQ(stats.serving_msgs_published, stats.serving_msgs_applied);
   restored.Stop();
   std::filesystem::remove_all(dir);
+}
+
+// A checkpoint restored into a fresh cluster carries every subscription but
+// none of the serving caches: the restored shards re-send each subscribed
+// cell, so after the tail every cache equals that of a cluster that
+// ingested the whole stream.
+void RestoreIntoFreshClusterMatchesUninterruptedRun(Strategy strategy) {
+  const auto updates = SmallStream();
+  const auto plan = Plan(strategy);
+  ClusterOptions options;
+  options.map = {2, 2, 2};
+  const std::size_t half = updates.size() / 2;
+  const auto dir = CheckpointDir("helios_ft_restore_refill");
+  std::filesystem::remove_all(dir);
+
+  ThreadedCluster golden(plan, options);
+  golden.Start();
+  for (const auto& u : updates) golden.PublishUpdate(u);
+  golden.WaitForIngestIdle();
+  {
+    ThreadedCluster first(plan, options);
+    first.Start();
+    for (std::size_t i = 0; i < half; ++i) first.PublishUpdate(updates[i]);
+    first.WaitForIngestIdle();
+    ASSERT_TRUE(first.Checkpoint(dir.string()).ok());
+    first.Stop();
+  }
+  ThreadedCluster restored(plan, options);
+  ASSERT_TRUE(restored.Restore(dir.string()).ok());
+  restored.Start();
+  for (std::size_t i = half; i < updates.size(); ++i) restored.PublishUpdate(updates[i]);
+  restored.WaitForIngestIdle();
+  for (std::uint32_t w = 0; w < options.map.serving_workers; ++w) {
+    const auto want = golden.DumpServingCache(w);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(restored.DumpServingCache(w), want) << "serving worker " << w;
+  }
+  const auto stats = restored.Stats();
+  EXPECT_EQ(stats.serving_msgs_published, stats.serving_msgs_applied);
+  restored.Stop();
+  golden.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ThreadedRecovery, RestoreIntoFreshClusterRefillsServingCaches) {
+  ForEachStrategy(RestoreIntoFreshClusterMatchesUninterruptedRun);
 }
 
 TEST(ThreadedRecovery, SupervisorAutoRecoversKilledNode) {

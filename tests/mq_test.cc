@@ -1,7 +1,9 @@
 // Tests for the Kafka-substitute message queue.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -341,6 +343,119 @@ TEST(Consumer, SurvivesBlockFreeingUnderneath) {
   EXPECT_EQ(c.Lag(), kBlock - 8);
 }
 
+// ---- blocking polls (Consumer::Poll with a deadline)
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+// Runs a blocking poll with a 10 s deadline on another thread; returns its
+// record count and how long it blocked.
+std::future<std::pair<std::size_t, Clock::duration>> BlockedPoll(Consumer& c,
+                                                                 std::vector<Record>& out) {
+  return std::async(std::launch::async, [&c, &out] {
+    const auto start = Clock::now();
+    const std::size_t n = c.Poll(10, out, start + std::chrono::seconds(10));
+    return std::make_pair(n, Clock::now() - start);
+  });
+}
+
+TEST(ConsumerBlocking, PollReturnsPromptlyWhenAnotherThreadAppends) {
+  Broker broker;
+  broker.CreateTopic("t", 2);
+  Consumer c(broker, "g", "t", {0, 1});
+  std::vector<Record> out;
+  auto polled = BlockedPoll(c, out);
+  std::this_thread::sleep_for(milliseconds(50));  // let it park
+  Producer(broker).Send("t", "", "late", 1);
+  const auto [n, blocked] = polled.get();
+  EXPECT_EQ(n, 1u);
+  EXPECT_LT(blocked, std::chrono::seconds(1));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].value, "late");
+}
+
+TEST(ConsumerBlocking, PollReturnsPromptlyWhenWoken) {
+  Broker broker;
+  broker.CreateTopic("t", 1);
+  Consumer c(broker, "g", "t", {0});
+  std::vector<Record> out;
+  auto polled = BlockedPoll(c, out);
+  std::this_thread::sleep_for(milliseconds(50));
+  c.Wake();
+  const auto [n, blocked] = polled.get();
+  EXPECT_EQ(n, 0u);
+  EXPECT_LT(blocked, std::chrono::seconds(1));
+}
+
+TEST(ConsumerBlocking, WakeBeforeThePollIsNotLost) {
+  Broker broker;
+  broker.CreateTopic("t", 1);
+  Consumer c(broker, "g", "t", {0});
+  c.Wake();
+  std::vector<Record> out;
+  const auto start = Clock::now();
+  EXPECT_EQ(c.Poll(10, out, start + std::chrono::seconds(10)), 0u);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
+}
+
+TEST(ConsumerBlocking, RecordAlreadyThereIsReadWithoutWaiting) {
+  Broker broker;
+  broker.CreateTopic("t", 1);
+  Producer(broker).Send("t", "", "ready", 0);
+  Consumer c(broker, "g", "t", {0}, /*linger=*/std::chrono::seconds(10));
+  std::vector<Record> out;
+  const auto start = Clock::now();
+  EXPECT_EQ(c.Poll(10, out, start + std::chrono::seconds(10)), 1u);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
+}
+
+TEST(ConsumerBlocking, PartialBatchLingersBeforeTheNextRead) {
+  Broker broker;
+  broker.CreateTopic("t", 1);
+  Producer producer(broker);
+  const auto linger = milliseconds(100);
+  Consumer c(broker, "g", "t", {0}, linger);
+  std::vector<Record> out;
+  producer.Send("t", "", "a", 0);
+  ASSERT_EQ(c.Poll(10, out, Clock::now() + std::chrono::seconds(10)), 1u);  // partial
+  const auto after_partial = Clock::now();
+  producer.Send("t", "", "b", 0);
+  producer.Send("t", "", "c", 0);
+  // The appends do not cut the linger short; both records come in one read.
+  out.clear();
+  ASSERT_EQ(c.Poll(10, out, Clock::now() + std::chrono::seconds(10)), 2u);
+  EXPECT_GE(Clock::now() - after_partial, linger);
+  // That batch was partial too, so the next read lingers; a full batch
+  // arms no linger, so a backlog is then read back to back.
+  for (int i = 0; i < 20; ++i) producer.Send("t", "", "x", 0);
+  out.clear();
+  const auto start = Clock::now();
+  ASSERT_EQ(c.Poll(5, out, start + std::chrono::seconds(10)), 5u);
+  EXPECT_GE(Clock::now() - start, linger);
+  out.clear();
+  const auto full = Clock::now();
+  ASSERT_EQ(c.Poll(5, out, full + std::chrono::seconds(10)), 5u);
+  EXPECT_LT(Clock::now() - full, linger);
+}
+
+TEST(ConsumerBlocking, WakeCutsTheLingerShort) {
+  Broker broker;
+  broker.CreateTopic("t", 1);
+  Producer producer(broker);
+  Consumer c(broker, "g", "t", {0}, /*linger=*/std::chrono::seconds(10));
+  std::vector<Record> out;
+  producer.Send("t", "", "a", 0);
+  ASSERT_EQ(c.Poll(10, out, Clock::now() + std::chrono::seconds(10)), 1u);
+  producer.Send("t", "", "b", 0);
+  out.clear();
+  auto polled = BlockedPoll(c, out);
+  std::this_thread::sleep_for(milliseconds(50));
+  c.Wake();
+  const auto [n, blocked] = polled.get();
+  EXPECT_EQ(n, 1u);
+  EXPECT_LT(blocked, std::chrono::seconds(1));
+}
+
 TEST(Broker, TruncateAllTopics) {
   Broker broker;
   broker.CreateTopic("a", 1);
@@ -537,6 +652,46 @@ TEST(MqDurable, RecordsAndOffsetsSurviveBrokerRebuild) {
   std::vector<Record> out;
   Consumer resumed(rebuilt, "g", "updates", {0, 1});
   EXPECT_EQ(resumed.Poll(100, out), 20u);
+}
+
+// Offset records in the durable offsets stream.
+std::uint64_t OffsetRecords(store::SegmentStore& st) {
+  std::uint64_t n = 0;
+  for (const auto& info : st.List("mq/offsets")) n += info.records;
+  return n;
+}
+
+TEST(MqDurable, PollsThatReadNothingAppendNoOffsetRecords) {
+  DurableDir dir;
+  auto st = store::SegmentStore::Open(LogOptions(dir.path / "mqlog.hstore"));
+  ASSERT_TRUE(st.ok());
+  std::uint64_t after_read = 0;
+  {
+    Broker broker;
+    ASSERT_TRUE(broker.BindStore(st.value().get()).ok());
+    ASSERT_TRUE(broker.CreateTopic("updates", 3).ok());
+    Producer producer(broker);
+    for (int i = 0; i < 6; ++i) ASSERT_TRUE(producer.Send("updates", "", "v", 1).ok());
+    Consumer worker(broker, "g", "updates", {0, 1, 2});
+    std::vector<Record> out;
+    ASSERT_EQ(worker.Poll(100, out), 6u);
+    worker.Commit();
+    // Only partition 1 moved.
+    after_read = OffsetRecords(*st.value());
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_EQ(worker.Poll(100, out), 0u);
+      worker.Commit();
+    }
+    EXPECT_EQ(OffsetRecords(*st.value()), after_read);
+    ASSERT_TRUE(broker.SyncStore().ok());
+  }
+  Broker rebuilt;
+  ASSERT_TRUE(rebuilt.BindStore(st.value().get()).ok());
+  ASSERT_TRUE(rebuilt.CreateTopic("updates", 3).ok());
+  EXPECT_EQ(rebuilt.CommittedOffset("g", "updates", 0), 0u);
+  EXPECT_EQ(rebuilt.CommittedOffset("g", "updates", 1), 6u);
+  EXPECT_EQ(rebuilt.CommittedOffset("g", "updates", 2), 0u);
+  EXPECT_EQ(OffsetRecords(*st.value()), after_read);
 }
 
 TEST(MqDurable, CommitThenCrashBeforeAckRollsBackToSync) {
